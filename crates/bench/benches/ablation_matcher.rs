@@ -1,4 +1,5 @@
-//! E10 — ablation of the matcher's design choices (DESIGN.md §7):
+//! E10 — ablation of the matcher's design choices (see
+//! `docs/matching.md`):
 //!
 //! 1. constant-position indexing of pending heads (registry);
 //! 2. forward checking (σ-sharpened candidate lookup + fail-first

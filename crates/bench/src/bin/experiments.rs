@@ -1,11 +1,12 @@
-//! The experiment runner: regenerates every experiment in DESIGN.md's
-//! index (E1–E10) and prints the tables recorded in EXPERIMENTS.md.
+//! The experiment runner: regenerates experiments E1–E10 (the paper's
+//! worked example and demo scenarios, throughput and latency series,
+//! and the matcher ablation of `docs/matching.md`) and prints one table
+//! per experiment.
 //!
 //! Run with: `cargo run --release -p youtopia-bench --bin experiments`
 //!
-//! Unlike the Criterion benches (statistical, HTML reports), this
-//! runner gives one compact, deterministic text report — the artifact
-//! EXPERIMENTS.md quotes.
+//! Unlike the Criterion benches under `benches/` (statistical, HTML
+//! reports), this runner gives one compact, deterministic text report.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -17,7 +18,7 @@ use youtopia_storage::Database;
 use youtopia_travel::{FlightPrefs, TravelService, WorkloadGen};
 
 fn main() {
-    println!("Youtopia experiment runner — all experiments from DESIGN.md §5\n");
+    println!("Youtopia experiment runner — experiments E1–E10\n");
     e1_fig1_worked_example();
     e2_pair_scenario();
     e3_constraint_complexity();

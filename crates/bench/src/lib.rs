@@ -1,9 +1,12 @@
 //! # youtopia-bench
 //!
-//! Shared helpers for the benchmark harness. Each experiment in
-//! DESIGN.md's index (E1–E10) has a Criterion bench target under
-//! `benches/`; this library holds the common setup code so benches and
-//! EXPERIMENTS.md stay consistent.
+//! Shared helpers for the benchmark harness. The `experiments` runner
+//! (`src/bin/experiments.rs`) prints experiments E1–E10; the measured
+//! ones also have a Criterion bench target under `benches/` whose doc
+//! comment names its experiment (E3 `multi_constraint`, E4
+//! `simultaneous_pairs`, E5 `group_size`, E7 `loaded_system`, E9
+//! `choose_semantics`, E10 `ablation_matcher`). This library holds the
+//! common setup code so the benches and the runner stay consistent.
 
 #![warn(missing_docs)]
 
@@ -101,6 +104,43 @@ pub fn preload_noise_sharded(
     let report = drive_batched(coordinator, &requests, 256);
     assert_eq!(report.answered, 0, "noise must not match");
     assert_eq!(report.pending, noise);
+}
+
+/// One line naming the measuring host — CPU model and logical CPU
+/// count — for the committed BENCH JSON artifacts.
+pub fn host_description() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("{cpu}, {cpus} logical CPUs")
+}
+
+/// The git commit the bench ran on, suffixed `-dirty` when the working
+/// tree had uncommitted changes; `unknown` outside a git checkout.
+pub fn source_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+            format!("{head}-dirty")
+        }
+        Some(head) => head,
+        None => "unknown".to_string(),
+    }
 }
 
 #[cfg(test)]

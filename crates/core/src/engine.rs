@@ -44,7 +44,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
 use crate::ir::{Atom, QueryId, Term};
 use crate::matcher::{baseline, search, GroupMatch, MatchStats};
-use crate::registry::{Pending, Registry};
+use crate::registry::{numeric_key, Pending, Registry};
 use crate::SystemStats;
 
 /// The audit annotation of a registration frame: the wall-clock submit
@@ -719,8 +719,10 @@ impl Engine {
 
     /// Re-runs matching for pending queries whose positive constraints
     /// could unify with freshly committed answer tuples, repeating until
-    /// no further matches fire. Cheap pre-filter: a constraint is only
-    /// retried when template unification against a fresh tuple succeeds.
+    /// no further matches fire. The triggers come from the registry's
+    /// constraint postings ([`Registry::cascade_triggers`]): a query is
+    /// only retried when template unification of one of its positive
+    /// constraints against a fresh tuple succeeds.
     /// Apply failures (e.g. inventory races) leave the group pending and
     /// do not abort the cascade.
     pub(crate) fn cascade(
@@ -733,25 +735,9 @@ impl Engine {
             return Ok(());
         }
         while !fresh.is_empty() {
-            let triggers: Vec<QueryId> = state
+            let triggers = state
                 .registry
-                .iter()
-                .filter(|p| {
-                    p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
-                        fresh.iter().any(|(rel, tuple)| {
-                            c.atom.relation.eq_ignore_ascii_case(rel)
-                                && c.atom.arity() == tuple.arity()
-                                && {
-                                    let mut s = crate::unify::Subst::new();
-                                    c.atom.terms.iter().zip(tuple.values()).all(|(t, v)| {
-                                        s.unify_terms(t, &crate::ir::Term::Const(v.clone()))
-                                    })
-                                }
-                        })
-                    })
-                })
-                .map(|p| p.id)
-                .collect();
+                .cascade_triggers(&fresh, &mut state.stats.match_work.cascade_checked);
             fresh.clear();
             for qid in triggers {
                 if state.registry.get(qid).is_none() {
@@ -1062,12 +1048,12 @@ pub(crate) fn match_graph_of(registry: &Registry) -> MatchGraph {
 /// satisfy this constraint" without rescanning tables per trigger.
 ///
 /// Per relation it records the arities seen and, per position, the set
-/// of stored values *expanded* through [`numeric_keys`] so that the
+/// of stored values keyed through [`numeric_key`] so that the
 /// `Int`/`Float` bridge of [`Value::sql_eq`] is captured by plain hash
-/// lookups. Both the stored values and the probed constant are
-/// expanded, which makes the per-position test a superset of
-/// unify-equality (`sql_eq || ==`): the probe may say "maybe" for a
-/// tuple that does not unify, but never "no" for one that does.
+/// lookups. Both the stored values and the probed constant are keyed,
+/// which makes the per-position test a superset of unify-equality
+/// (`sql_eq || ==`): the probe may say "maybe" for a tuple that does
+/// not unify, but never "no" for one that does.
 pub(crate) struct CommittedProbe {
     relations: HashMap<String, RelationProbe>,
 }
@@ -1076,23 +1062,6 @@ pub(crate) struct CommittedProbe {
 struct RelationProbe {
     arities: HashSet<usize>,
     by_pos: HashMap<usize, HashSet<Value>>,
-}
-
-/// Hash keys equivalent to `v` under SQL numeric bridging. Integral
-/// floats round-trip through `i64` so `Int(3)`, `Float(3.0)`, and
-/// `Float(-0.0)`/`Float(0.0)` all share a key.
-fn numeric_keys(v: &Value) -> Vec<Value> {
-    match v {
-        Value::Int(i) => vec![Value::Int(*i), Value::Float(*i as f64)],
-        Value::Float(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 => {
-            vec![
-                Value::Float(*f),
-                Value::Int(*f as i64),
-                Value::Float((*f as i64) as f64),
-            ]
-        }
-        other => vec![other.clone()],
-    }
 }
 
 impl CommittedProbe {
@@ -1116,7 +1085,11 @@ impl CommittedProbe {
                 let values = tuple.values();
                 probe.arities.insert(values.len());
                 for (pos, v) in values.iter().enumerate() {
-                    probe.by_pos.entry(pos).or_default().extend(numeric_keys(v));
+                    probe
+                        .by_pos
+                        .entry(pos)
+                        .or_default()
+                        .insert(numeric_key(v).into_owned());
                 }
             }
         }
@@ -1139,7 +1112,7 @@ impl CommittedProbe {
             Term::Const(v) => probe
                 .by_pos
                 .get(&pos)
-                .is_some_and(|set| numeric_keys(v).iter().any(|k| set.contains(k))),
+                .is_some_and(|set| set.contains(&*numeric_key(v))),
             _ => true,
         })
     }

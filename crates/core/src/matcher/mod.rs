@@ -124,6 +124,9 @@ pub struct MatchStats {
     /// Whole match attempts skipped because the candidate index proved
     /// some positive obligation unsatisfiable (sweep pruning).
     pub triggers_pruned: u64,
+    /// Pending queries the cascade unified against freshly committed
+    /// answer tuples (the candidates its constraint postings returned).
+    pub cascade_checked: u64,
     /// Scratch buffers served from the thread-local pool.
     pub pool_hits: u64,
     /// Scratch buffers freshly allocated because the pool was empty.
@@ -144,6 +147,7 @@ impl MatchStats {
         self.candidates_scanned += other.candidates_scanned;
         self.index_pruned += other.index_pruned;
         self.triggers_pruned += other.triggers_pruned;
+        self.cascade_checked += other.cascade_checked;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
     }
@@ -194,11 +198,13 @@ mod tests {
         let b = MatchStats {
             candidates_considered: 2,
             rows_scanned: 5,
+            cascade_checked: 7,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.candidates_considered, 3);
         assert_eq!(a.rows_scanned, 5);
+        assert_eq!(a.cascade_checked, 7);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the matcher's central question: *which pending heads could satisfy
 //! this answer constraint?*
 //!
-//! Two lookup paths exist, switchable for the ablation experiment (E10
-//! in DESIGN.md):
+//! Two lookup paths exist, switchable for the matcher ablation
+//! (`benches/ablation_matcher.rs`; see `docs/matching.md`):
 //!
 //! * **relation lookup** — all heads contributed to the constraint's
 //!   answer relation (the baseline);
@@ -17,10 +17,20 @@
 //!   typically cuts candidates from *all queries on the relation* to
 //!   *the handful naming the right partner* (e.g. the index on position
 //!   0 of `Reservation('Jerry', ?fno)` returns only Jerry's own queries).
+//!
+//! The registry answers the cascade's question too: *which pending
+//! queries could a freshly committed answer tuple satisfy?* Every
+//! positive answer constraint is posted once, under its first constant
+//! position, so a fresh tuple looks up its candidate triggers instead
+//! of the cascade scanning every pending query.
+//!
+//! All value-keyed postings hash constants through [`numeric_key`], so
+//! the `Int`/`Float` bridge of unification survives the hash lookup.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use youtopia_storage::Value;
+use youtopia_storage::{Tuple, Value};
 
 use crate::ir::{Atom, EntangledQuery, QueryId, Term};
 
@@ -36,6 +46,37 @@ pub struct CandidateScan {
     /// mismatch) without attempting unification.
     pub pruned: u64,
 }
+
+/// The hash key of `v` under the SQL numeric bridge: values that
+/// unification treats as equal (`sql_eq || ==`, see
+/// [`crate::Subst::unify_terms`]) share one key. Integers key as the
+/// float they compare equal to, and both float zeros key as `0.0`; any
+/// other value is its own key. Distinct integers beyond 2^53 may share
+/// a key, which only widens a posting — unification makes the final
+/// call — but two unifiable values never get different keys.
+pub(crate) fn numeric_key(v: &Value) -> Cow<'_, Value> {
+    match v {
+        Value::Int(i) => Cow::Owned(Value::Float(*i as f64)),
+        Value::Float(f) if *f == 0.0 => Cow::Owned(Value::Float(0.0)),
+        other => Cow::Borrowed(other),
+    }
+}
+
+/// Whether the answer-constraint `atom` unifies with the committed tuple
+/// `values` of relation `relation` — the cascade's trigger predicate.
+fn unifies_with_tuple(atom: &Atom, relation: &str, values: &[Value]) -> bool {
+    atom.relation.eq_ignore_ascii_case(relation) && atom.arity() == values.len() && {
+        let mut s = crate::unify::Subst::new();
+        atom.terms
+            .iter()
+            .zip(values)
+            .all(|(t, v)| s.unify_terms(t, &Term::Const(v.clone())))
+    }
+}
+
+/// Reference to one answer constraint of one pending query: the
+/// query and the index into its `constraints`.
+type ConstraintRef = (QueryId, usize);
 
 /// The (constant-posting, variable-posting) pair backing one constant
 /// position of a constraint during candidate resolution.
@@ -83,6 +124,25 @@ struct RelationIndex {
     by_const: HashMap<usize, HashMap<Value, BTreeSet<HeadRef>>>,
     /// position -> heads with a variable there.
     by_var: HashMap<usize, BTreeSet<HeadRef>>,
+    /// Positive answer constraints on this relation, each posted once
+    /// under its *first* constant position: position -> constant key ->
+    /// constraints whose first constant sits there. Lists, not sets:
+    /// most keys hold one constraint, and the cascade orders its
+    /// candidates itself.
+    constraints_by_const: HashMap<usize, HashMap<Value, Vec<ConstraintRef>>>,
+    /// Positive answer constraints with no constant at all: any fresh
+    /// tuple on the relation may satisfy them.
+    constraints_unkeyed: BTreeSet<ConstraintRef>,
+}
+
+/// Where a positive constraint is posted in the cascade index: the
+/// position of its first constant and that constant's key, or `None`
+/// for the unkeyed set.
+fn constraint_key(atom: &Atom) -> Option<(usize, Cow<'_, Value>)> {
+    atom.terms.iter().enumerate().find_map(|(pos, t)| match t {
+        Term::Const(v) => Some((pos, numeric_key(v))),
+        Term::Var(_) => None,
+    })
 }
 
 /// The pending-query store.
@@ -141,13 +201,36 @@ impl Registry {
                         rel.by_const
                             .entry(pos)
                             .or_default()
-                            .entry(v.clone())
+                            .entry(numeric_key(v).into_owned())
                             .or_default()
                             .insert(href);
                     }
                     Term::Var(_) => {
                         rel.by_var.entry(pos).or_default().insert(href);
                     }
+                }
+            }
+        }
+        for (cidx, c) in pending.query.constraints.iter().enumerate() {
+            if c.negated {
+                continue;
+            }
+            let rel = self
+                .relations
+                .entry(Self::rel_key(&c.atom.relation))
+                .or_default();
+            let cref = (qid, cidx);
+            match constraint_key(&c.atom) {
+                Some((pos, key)) => {
+                    rel.constraints_by_const
+                        .entry(pos)
+                        .or_default()
+                        .entry(key.into_owned())
+                        .or_default()
+                        .push(cref);
+                }
+                None => {
+                    rel.constraints_unkeyed.insert(cref);
                 }
             }
         }
@@ -171,10 +254,11 @@ impl Registry {
                     match term {
                         Term::Const(v) => {
                             if let Some(by_val) = rel.by_const.get_mut(&pos) {
-                                if let Some(set) = by_val.get_mut(v) {
+                                let key = numeric_key(v);
+                                if let Some(set) = by_val.get_mut(&*key) {
                                     set.remove(&href);
                                     if set.is_empty() {
-                                        by_val.remove(v);
+                                        by_val.remove(&*key);
                                     }
                                 }
                             }
@@ -185,6 +269,30 @@ impl Registry {
                             }
                         }
                     }
+                }
+            }
+        }
+        for (cidx, c) in pending.query.constraints.iter().enumerate() {
+            if c.negated {
+                continue;
+            }
+            let Some(rel) = self.relations.get_mut(&Self::rel_key(&c.atom.relation)) else {
+                continue;
+            };
+            let cref = (qid, cidx);
+            match constraint_key(&c.atom) {
+                Some((pos, key)) => {
+                    if let Some(by_val) = rel.constraints_by_const.get_mut(&pos) {
+                        if let Some(list) = by_val.get_mut(&*key) {
+                            list.retain(|&posted| posted != cref);
+                            if list.is_empty() {
+                                by_val.remove(&*key);
+                            }
+                        }
+                    }
+                }
+                None => {
+                    rel.constraints_unkeyed.remove(&cref);
                 }
             }
         }
@@ -300,7 +408,7 @@ impl Registry {
                 let consts_empty = rel
                     .by_const
                     .get(&pos)
-                    .and_then(|m| m.get(v))
+                    .and_then(|m| m.get(&*numeric_key(v)))
                     .is_none_or(BTreeSet::is_empty);
                 if consts_empty && rel.by_var.get(&pos).is_none_or(BTreeSet::is_empty) {
                     return false;
@@ -308,6 +416,48 @@ impl Registry {
             }
         }
         true
+    }
+
+    /// The cascade's trigger list for one round of freshly committed
+    /// answer tuples: every pending query with a positive constraint
+    /// that unifies with some tuple of `fresh`, in id order (the order
+    /// of [`Registry::iter`]).
+    ///
+    /// Candidates come from the constraint postings: per fresh tuple,
+    /// the relation's unkeyed constraints plus, for each keyed
+    /// position, the constraints posted under that value's
+    /// [`numeric_key`]. Only those queries are unified against the
+    /// fresh tuples; `checked` counts them.
+    pub fn cascade_triggers(&self, fresh: &[(String, Tuple)], checked: &mut u64) -> Vec<QueryId> {
+        let mut candidates = BTreeSet::new();
+        for (relation, tuple) in fresh {
+            let Some(rel) = self.relations.get(&Self::rel_key(relation)) else {
+                continue;
+            };
+            candidates.extend(rel.constraints_unkeyed.iter().map(|&(qid, _)| qid));
+            for (pos, by_val) in &rel.constraints_by_const {
+                let posted = tuple
+                    .values()
+                    .get(*pos)
+                    .and_then(|v| by_val.get(&*numeric_key(v)));
+                if let Some(list) = posted {
+                    candidates.extend(list.iter().map(|&(qid, _)| qid));
+                }
+            }
+        }
+        *checked += candidates.len() as u64;
+        candidates
+            .into_iter()
+            .filter(|&qid| {
+                self.get(qid).is_some_and(|p| {
+                    p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
+                        fresh
+                            .iter()
+                            .any(|(rel, tuple)| unifies_with_tuple(&c.atom, rel, tuple.values()))
+                    })
+                })
+            })
+            .collect()
     }
 
     /// Candidate resolution against one relation's index: picks the
@@ -330,7 +480,7 @@ impl Registry {
         if self.use_const_index {
             for (pos, term) in constraint.terms.iter().enumerate() {
                 let Term::Const(v) = term else { continue };
-                let cs = rel.by_const.get(&pos).and_then(|m| m.get(v));
+                let cs = rel.by_const.get(&pos).and_then(|m| m.get(&*numeric_key(v)));
                 let vs = rel.by_var.get(&pos);
                 let len = cs.map_or(0, BTreeSet::len) + vs.map_or(0, BTreeSet::len);
                 if len == 0 {

@@ -423,6 +423,7 @@ struct ShardMonitor {
     candidates_scanned: AtomicU64,
     index_pruned: AtomicU64,
     triggers_pruned: AtomicU64,
+    cascade_checked: AtomicU64,
     pool_hits: AtomicU64,
     pool_misses: AtomicU64,
 }
@@ -449,6 +450,7 @@ impl Default for ShardMonitor {
             candidates_scanned: AtomicU64::new(0),
             index_pruned: AtomicU64::new(0),
             triggers_pruned: AtomicU64::new(0),
+            cascade_checked: AtomicU64::new(0),
             pool_hits: AtomicU64::new(0),
             pool_misses: AtomicU64::new(0),
         }
@@ -493,6 +495,8 @@ impl ShardMonitor {
         self.index_pruned.store(w.index_pruned, Ordering::Relaxed);
         self.triggers_pruned
             .store(w.triggers_pruned, Ordering::Relaxed);
+        self.cascade_checked
+            .store(w.cascade_checked, Ordering::Relaxed);
         self.pool_hits.store(w.pool_hits, Ordering::Relaxed);
         self.pool_misses.store(w.pool_misses, Ordering::Relaxed);
     }
@@ -519,6 +523,7 @@ impl ShardMonitor {
                 candidates_scanned: self.candidates_scanned.load(Ordering::Relaxed),
                 index_pruned: self.index_pruned.load(Ordering::Relaxed),
                 triggers_pruned: self.triggers_pruned.load(Ordering::Relaxed),
+                cascade_checked: self.cascade_checked.load(Ordering::Relaxed),
                 pool_hits: self.pool_hits.load(Ordering::Relaxed),
                 pool_misses: self.pool_misses.load(Ordering::Relaxed),
             },

@@ -3,7 +3,9 @@
 //! mixed-arity relations, cancellation races, membership errors, and
 //! group-size boundary behaviour.
 
-use youtopia_core::{Coordinator, CoordinatorConfig, CoreError, MatchConfig, Submission};
+use youtopia_core::{
+    Coordinator, CoordinatorConfig, CoreError, MatchConfig, MatcherKind, Submission,
+};
 use youtopia_exec::run_sql;
 use youtopia_storage::{Database, Value};
 
@@ -483,4 +485,47 @@ fn stats_survive_failed_and_successful_submissions() {
     assert_eq!(stats.submitted, 1);
     assert_eq!(stats.answered, 1);
     assert_eq!(stats.groups_matched, 1);
+}
+
+#[test]
+fn int_and_float_constants_coordinate_under_both_matchers() {
+    // Unification bridges `3` and `3.0` (SQL numeric equality), so B's
+    // constraint `(3.0, fno)` is satisfied by A's head `(3, fno)`. The
+    // candidate index must find that head too, not only the naive
+    // matcher's full relation scan.
+    for matcher in [MatcherKind::Naive, MatcherKind::Incremental] {
+        let co = Coordinator::with_config(
+            flights_db(),
+            CoordinatorConfig {
+                matcher,
+                ..Default::default()
+            },
+        );
+        let a = co
+            .submit_sql(
+                "a",
+                "SELECT 3, fno INTO ANSWER R \
+                 WHERE fno IN (SELECT fno FROM Flights) \
+                 AND (4, fno) IN ANSWER R CHOOSE 1",
+            )
+            .unwrap();
+        let Submission::Pending(ticket) = a else {
+            panic!("{matcher:?}: A has no partner yet")
+        };
+        let b = co
+            .submit_sql(
+                "b",
+                "SELECT 4, fno INTO ANSWER R \
+                 WHERE fno IN (SELECT fno FROM Flights) \
+                 AND (3.0, fno) IN ANSWER R CHOOSE 1",
+            )
+            .unwrap();
+        let nb = b
+            .answered()
+            .unwrap_or_else(|| panic!("{matcher:?}: B pairs with A's bridged head"));
+        let na = ticket.receiver.try_recv().expect("A answered with B");
+        assert_eq!(nb.group.len(), 2, "{matcher:?}");
+        assert_eq!(na.answers[0].1.values()[1], nb.answers[0].1.values()[1]);
+        assert_eq!(co.pending_count(), 0, "{matcher:?}");
+    }
 }

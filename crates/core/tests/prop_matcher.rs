@@ -5,7 +5,14 @@
 //! * matcher soundness — every produced match satisfies every
 //!   constraint of every member against the actual database;
 //! * the incremental matcher and the exhaustive baseline agree on
-//!   matchability for random scenarios.
+//!   matchability for random scenarios;
+//! * the cascade's indexed trigger list equals the full-registry scan,
+//!   and cascade chains coordinate identically with the candidate index
+//!   on and off.
+//!
+//! Numeric constants are drawn in bridged pairs (`Int(k)` and
+//! `Float(k as f64)`), which unification treats as equal, so every
+//! value-keyed index is checked against the SQL numeric bridge.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,11 +21,11 @@ use rand::SeedableRng;
 use youtopia_core::matcher::baseline::match_query_naive;
 use youtopia_core::matcher::search::match_query;
 use youtopia_core::{
-    compile_sql, Atom, GroupMatch, MatchConfig, MatchStats, Pending, QueryId, Registry, Subst,
-    Term, Var,
+    compile_sql, AnswerConstraint, Atom, EntangledQuery, GroupMatch, MatchConfig, MatchStats,
+    Pending, QueryId, Registry, Subst, Term, Var,
 };
 use youtopia_exec::run_sql;
-use youtopia_storage::{Database, Value};
+use youtopia_storage::{Database, Tuple, Value};
 
 // --------------------------------------------------------------------- //
 // Unification properties
@@ -27,6 +34,7 @@ use youtopia_storage::{Database, Value};
 fn arb_term() -> impl Strategy<Value = Term> {
     prop_oneof![
         (0i64..4).prop_map(|i| Term::Const(Value::Int(i))),
+        (0i64..4).prop_map(|i| Term::Const(Value::Float(i as f64))),
         "[ab]".prop_map(|s| Term::Const(Value::Str(s))),
         (0u8..4).prop_map(|i| Term::Var(Var::new(format!("v{i}")))),
     ]
@@ -249,10 +257,10 @@ proptest! {
 
     #[test]
     fn registry_candidates_are_a_superset_of_unifiable_heads(
-        scenario in arb_scenario(),
+        scenario in arb_multi_scenario(),
         constraint in arb_constraint(),
     ) {
-        let reg = registry_for(&scenario);
+        let reg = registry_for_multi(&scenario, true);
         let candidates = reg.candidates_for(&constraint);
         // brute force: every pending head that unifies must be listed
         for pending in reg.iter() {
@@ -282,12 +290,20 @@ proptest! {
 struct MultiScenario {
     /// (me, friend, dest, answer-relation) — pair requests spread over
     /// several answer relations, so the per-relation index actually
-    /// partitions the registry.
+    /// partitions the registry. Names are SQL literals: strings, or a
+    /// bridged numeric pair (`3` and `3.0`) that unifies across types.
     requests: Vec<(String, String, String, String)>,
 }
 
 fn arb_multi_scenario() -> impl Strategy<Value = MultiScenario> {
-    let name = prop_oneof![Just("A"), Just("B"), Just("C"), Just("D")];
+    let name = prop_oneof![
+        Just("'A'"),
+        Just("'B'"),
+        Just("'C'"),
+        Just("'D'"),
+        Just("3"),
+        Just("3.0")
+    ];
     let dest = prop_oneof![Just("Paris"), Just("Rome")];
     let rel = prop_oneof![Just("Reservation"), Just("Lodging"), Just("Tour")];
     proptest::collection::vec((name.clone(), name, dest, rel), 1..7).prop_map(|reqs| {
@@ -302,9 +318,9 @@ fn arb_multi_scenario() -> impl Strategy<Value = MultiScenario> {
 
 fn multi_pair_sql(me: &str, friend: &str, dest: &str, rel: &str) -> String {
     format!(
-        "SELECT '{me}', fno INTO ANSWER {rel} \
+        "SELECT {me}, fno INTO ANSWER {rel} \
          WHERE fno IN (SELECT fno FROM Flights WHERE dest = '{dest}') \
-         AND ('{friend}', fno) IN ANSWER {rel} CHOOSE 1"
+         AND ({friend}, fno) IN ANSWER {rel} CHOOSE 1"
     )
 }
 
@@ -381,10 +397,17 @@ fn arb_constraint() -> impl Strategy<Value = Atom> {
         Just(Term::constant("A")),
         Just(Term::constant("B")),
         Just(Term::constant("C")),
+        Just(Term::constant(3i64)),
+        Just(Term::constant(3.0)),
         Just(Term::var("who")),
     ];
-    let fno_term = prop_oneof![(1i64..4).prop_map(Term::constant), Just(Term::var("f")),];
-    (name_term, fno_term).prop_map(|(n, f)| Atom::new("Reservation", vec![n, f]))
+    let fno_term = prop_oneof![
+        (1i64..4).prop_map(Term::constant),
+        (1i64..4).prop_map(|k| Term::constant(k as f64)),
+        Just(Term::var("f")),
+    ];
+    let rel = prop_oneof![Just("Reservation"), Just("lodging"), Just("TOUR")];
+    (rel, name_term, fno_term).prop_map(|(r, n, f)| Atom::new(r, vec![n, f]))
 }
 
 // --------------------------------------------------------------------- //
@@ -443,5 +466,250 @@ proptest! {
             stats.answered as usize + co.pending_count(),
             scenario.requests.len()
         );
+    }
+}
+
+// --------------------------------------------------------------------- //
+// The cascade: after a match commits, the pending queries a fresh answer
+// tuple could satisfy are found through the registry's constraint
+// postings. The trigger list must equal the full-registry scan it
+// replaced — same queries, same (id) order — so every retry, RNG draw
+// and commit of the cascade is unchanged.
+// --------------------------------------------------------------------- //
+
+/// Values drawn so that unifiable pairs of different types occur:
+/// `Int(k)` / `Float(k)`, and both float zeros.
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0i64..3).prop_map(Value::Int),
+        (0i64..3).prop_map(|k| Value::Float(k as f64)),
+        Just(Value::Float(-0.0)),
+        "[ab]".prop_map(Value::Str),
+    ]
+}
+
+/// Relation names differing only in case name the same relation.
+fn arb_relation() -> impl Strategy<Value = &'static str> {
+    prop_oneof![Just("R"), Just("r"), Just("S"), Just("s")]
+}
+
+/// A query's answer constraints: several per query, mixed arity, some
+/// negated.
+fn arb_constraints() -> impl Strategy<Value = Vec<AnswerConstraint>> {
+    let term = prop_oneof![
+        arb_value().prop_map(Term::Const),
+        (0u8..3).prop_map(|i| Term::Var(Var::new(format!("v{i}")))),
+    ];
+    let atom = (arb_relation(), proptest::collection::vec(term, 1..4))
+        .prop_map(|(rel, terms)| Atom::new(rel, terms));
+    let constraint = (atom, (0u8..5).prop_map(|k| k == 0))
+        .prop_map(|(atom, negated)| AnswerConstraint { atom, negated });
+    proptest::collection::vec(constraint, 1..4)
+}
+
+fn arb_fresh() -> impl Strategy<Value = Vec<(String, Tuple)>> {
+    let tuple = (arb_relation(), proptest::collection::vec(arb_value(), 1..4))
+        .prop_map(|(rel, values)| (rel.to_string(), Tuple::new(values)));
+    proptest::collection::vec(tuple, 0..4)
+}
+
+/// The cascade's pre-index trigger filter: every pending query, in id
+/// order, with a positive constraint that unifies with a fresh tuple.
+fn full_scan_triggers(reg: &Registry, fresh: &[(String, Tuple)]) -> Vec<QueryId> {
+    reg.iter()
+        .filter(|p| {
+            p.query.constraints.iter().filter(|c| !c.negated).any(|c| {
+                fresh.iter().any(|(rel, tuple)| {
+                    c.atom.relation.eq_ignore_ascii_case(rel)
+                        && c.atom.arity() == tuple.arity()
+                        && {
+                            let mut s = Subst::new();
+                            c.atom
+                                .terms
+                                .iter()
+                                .zip(tuple.values())
+                                .all(|(t, v)| s.unify_terms(t, &Term::Const(v.clone())))
+                        }
+                })
+            })
+        })
+        .map(|p| p.id)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cascade_triggers_equal_full_scan(
+        queries in proptest::collection::vec((arb_constraints(), any::<bool>()), 1..12),
+        rounds in proptest::collection::vec(arb_fresh(), 1..4),
+    ) {
+        for use_const_index in [true, false] {
+            let mut reg = if use_const_index {
+                Registry::new()
+            } else {
+                Registry::without_const_index()
+            };
+            for (i, (constraints, _)) in queries.iter().enumerate() {
+                let id = QueryId(i as u64 + 1);
+                let query = EntangledQuery {
+                    heads: vec![Atom::new("R", vec![Term::var("v0")])],
+                    memberships: Vec::new(),
+                    filters: Vec::new(),
+                    constraints: constraints.clone(),
+                    choose: 1,
+                    sql: String::new(),
+                };
+                reg.insert(Pending {
+                    id,
+                    owner: format!("o{i}"),
+                    query: query.namespaced(id),
+                    seq: id.0,
+                    deadline: None,
+                });
+            }
+            // withdrawn queries must leave no posting behind
+            for (i, (_, removed)) in queries.iter().enumerate() {
+                if *removed {
+                    reg.remove(QueryId(i as u64 + 1));
+                }
+            }
+            for fresh in &rounds {
+                let mut checked = 0;
+                let indexed = reg.cascade_triggers(fresh, &mut checked);
+                let expected = full_scan_triggers(&reg, fresh);
+                prop_assert_eq!(
+                    &indexed,
+                    &expected,
+                    "cascade triggers diverge for fresh tuples {:?}",
+                    fresh
+                );
+                prop_assert!(checked as usize >= indexed.len());
+                prop_assert!(checked as usize <= reg.len());
+            }
+        }
+    }
+}
+
+/// One link of a cascade chain: group `i` is the pair `P{i}`/`Q{i}`.
+/// `P{i}` also writes its level into `L`; `P{i+1}` may wait on that
+/// level through a bridged float constant and `Q{i+1}` on `Q{i}`'s
+/// reservation, so each committed group releases the next one.
+fn chain_sql(i: usize, member: char, waits: bool) -> String {
+    let dest = "fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')";
+    match member {
+        'P' => {
+            let link = if waits && i > 1 {
+                format!(" AND ({}.0, fno) IN ANSWER L", i - 1)
+            } else {
+                String::new()
+            };
+            format!(
+                "SELECT 'P{i}', fno INTO ANSWER R, {i}, fno INTO ANSWER L \
+                 WHERE {dest} AND ('Q{i}', fno) IN ANSWER R{link} CHOOSE 1"
+            )
+        }
+        _ => {
+            let link = if waits && i > 1 {
+                format!(" AND ('Q{}', fno) IN ANSWER R", i - 1)
+            } else {
+                String::new()
+            };
+            format!(
+                "SELECT 'Q{i}', fno INTO ANSWER R \
+                 WHERE {dest} AND ('P{i}', fno) IN ANSWER R{link} CHOOSE 1"
+            )
+        }
+    }
+}
+
+/// Everything observable of a chain run: per query (id, group, answers)
+/// in id order, the answer relations and the pending set.
+type ChainOutcome = (Vec<(u64, Vec<u64>, String)>, String, String, Vec<u64>);
+
+fn run_chain(
+    links: &[(bool, bool)],
+    noise: usize,
+    seed: u64,
+    use_const_index: bool,
+) -> (ChainOutcome, u64) {
+    use youtopia_core::{Coordinator, CoordinatorConfig, Submission};
+
+    let mut config = CoordinatorConfig {
+        seed,
+        use_const_index,
+        ..Default::default()
+    };
+    config.match_config.randomize = false;
+    let co = Coordinator::with_config(scenario_db(), config);
+    let mut notes = Vec::new();
+    let mut tickets = Vec::new();
+    let mut record = |sub: Submission| match sub {
+        Submission::Answered(n) => notes.push(n),
+        Submission::Pending(t) => tickets.push(t),
+    };
+    for j in 0..noise {
+        let sql = format!(
+            "SELECT 'N{j}', fno INTO ANSWER R \
+             WHERE fno IN (SELECT fno FROM Flights) AND ('Ghost', fno) IN ANSWER R CHOOSE 1"
+        );
+        record(co.submit_sql("noise", &sql).unwrap());
+    }
+    // last group first: each group can only commit once its
+    // predecessor has, so group 1's arrival drives the whole chain
+    // through the cascade
+    for (i, &(p_waits, q_waits)) in links.iter().enumerate().rev() {
+        let level = i + 1;
+        record(co.submit_sql("p", &chain_sql(level, 'P', p_waits)).unwrap());
+        record(co.submit_sql("q", &chain_sql(level, 'Q', q_waits)).unwrap());
+    }
+    notes.extend(tickets.iter().filter_map(|t| t.receiver.try_recv().ok()));
+    let mut answered: Vec<(u64, Vec<u64>, String)> = notes
+        .iter()
+        .map(|n| {
+            (
+                n.id.0,
+                n.group.iter().map(|q| q.0).collect(),
+                format!("{:?}", n.answers),
+            )
+        })
+        .collect();
+    answered.sort();
+    let mut pending: Vec<u64> = co.pending_snapshot().iter().map(|p| p.id.0).collect();
+    pending.sort_unstable();
+    let outcome = (
+        answered,
+        format!("{:?}", co.answers("R")),
+        format!("{:?}", co.answers("L")),
+        pending,
+    );
+    (outcome, co.stats().match_work.cascade_checked)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A chain of groups where each group's committed answers satisfy
+    /// the next group's postconditions resolves completely through the
+    /// cascade, with identical matches and pending set whether the
+    /// candidate index is on or off. `randomize` is off, as in the other
+    /// equivalence properties: with it on, the matcher shuffles each
+    /// provider list, which is longer without the index (it keeps the
+    /// heads the index would prune), so the two runs draw differently.
+    #[test]
+    fn cascade_chain_is_identical_with_index_on_and_off(
+        links in proptest::collection::vec((any::<bool>(), any::<bool>()), 1..6),
+        noise in 0usize..4,
+        seed in 0u64..50,
+    ) {
+        let (on, checked) = run_chain(&links, noise, seed, true);
+        let (off, _) = run_chain(&links, noise, seed, false);
+        prop_assert_eq!(&on, &off);
+        prop_assert_eq!(on.0.len(), 2 * links.len(), "every chain member answers");
+        prop_assert_eq!(on.3.len(), noise, "only the noise stays pending");
+        if links.iter().skip(1).any(|&(p, q)| p || q) {
+            prop_assert!(checked > 0, "a waiting link is released by the cascade");
+        }
     }
 }
