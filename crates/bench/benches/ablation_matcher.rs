@@ -11,10 +11,14 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use youtopia_bench::preload_noise;
-use youtopia_core::{Coordinator, CoordinatorConfig, MatchConfig, Submission};
+use youtopia_core::{CoordinatorConfig, MatchConfig, ShardedCoordinator, Submission};
 use youtopia_travel::{Request, WorkloadGen};
 
-fn staged(use_const_index: bool, forward_checking: bool, noise: usize) -> (Coordinator, Request) {
+fn staged(
+    use_const_index: bool,
+    forward_checking: bool,
+    noise: usize,
+) -> (ShardedCoordinator, Request) {
     let mut gen = WorkloadGen::new(29);
     let db = gen.build_database(200, &["Paris"]).unwrap();
     let config = CoordinatorConfig {
@@ -25,8 +29,8 @@ fn staged(use_const_index: bool, forward_checking: bool, noise: usize) -> (Coord
         },
         ..CoordinatorConfig::default()
     };
-    let coordinator = Coordinator::with_config(db, config);
-    preload_noise(&coordinator, &mut gen, noise, "Paris");
+    let coordinator = ShardedCoordinator::single(db, config);
+    preload_noise(&coordinator, &gen.noise(noise, "Paris"));
     let first = WorkloadGen::pair_request("probeA", "probeB", "Paris");
     coordinator.submit_sql(&first.owner, &first.sql).unwrap();
     (

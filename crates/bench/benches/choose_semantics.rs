@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use youtopia_core::{Coordinator, CoordinatorConfig, Submission};
+use youtopia_core::{CoordinatorConfig, ShardedCoordinator, Submission};
 use youtopia_travel::WorkloadGen;
 
 fn bench_choose(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_choose(c: &mut Criterion) {
                     || {
                         let mut gen = WorkloadGen::new(31);
                         let db = gen.build_database(n, &["Paris"]).unwrap();
-                        Coordinator::with_config(db, CoordinatorConfig::default())
+                        ShardedCoordinator::single(db, CoordinatorConfig::default())
                     },
                     |coordinator| {
                         let sub = coordinator
@@ -59,7 +59,7 @@ fn bench_choose(c: &mut Criterion) {
                         let mut gen = WorkloadGen::new(37);
                         let db = gen.build_database(n, &["Paris"]).unwrap();
                         let coordinator =
-                            Coordinator::with_config(db, CoordinatorConfig::default());
+                            ShardedCoordinator::single(db, CoordinatorConfig::default());
                         let first = WorkloadGen::pair_request("a", "b", "Paris");
                         coordinator.submit_sql(&first.owner, &first.sql).unwrap();
                         (coordinator, WorkloadGen::pair_request("b", "a", "Paris"))

@@ -6,15 +6,15 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use youtopia_core::{Coordinator, CoordinatorConfig, Submission};
+use youtopia_core::{CoordinatorConfig, ShardedCoordinator, Submission};
 use youtopia_travel::{Request, WorkloadGen};
 
-/// Coordinator with a group of `size` submitted except for its last
+/// ShardedCoordinator with a group of `size` submitted except for its last
 /// member; returns the closing request.
-fn staged_group(size: usize) -> (Coordinator, Request) {
+fn staged_group(size: usize) -> (ShardedCoordinator, Request) {
     let mut gen = WorkloadGen::new(13);
     let db = gen.build_database(100, &["Paris"]).unwrap();
-    let coordinator = Coordinator::with_config(db, CoordinatorConfig::default());
+    let coordinator = ShardedCoordinator::single(db, CoordinatorConfig::default());
     let mut requests = gen.group(0, size, "Paris");
     let closing = requests.pop().expect("non-empty group");
     for r in &requests {

@@ -9,22 +9,25 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use youtopia_bench::{build_sharded_stack, preload_noise, preload_noise_sharded, Stack};
+use youtopia_bench::{build_stack, preload_noise, Stack};
 use youtopia_core::{
-    Coordinator, CoordinatorConfig, MatcherKind, ShardedConfig, ShardedCoordinator, Submission,
+    CoordinatorConfig, MatcherKind, ShardedConfig, ShardedCoordinator, Submission,
 };
 use youtopia_travel::WorkloadGen;
 
 /// Builds a coordinator with `noise` standing pending queries and the
 /// first half of a probe pair already submitted; returns it with the
 /// closing request.
-fn loaded_stack(matcher: MatcherKind, noise: usize) -> (Coordinator, youtopia_travel::Request) {
+fn loaded_stack(
+    matcher: MatcherKind,
+    noise: usize,
+) -> (ShardedCoordinator, youtopia_travel::Request) {
     let mut gen = WorkloadGen::new(7);
     let db = gen.build_database(200, &["Paris", "Rome"]).unwrap();
     // Pairs workload: bound groups at 3 so the naive baseline's subset
     // enumeration terminates (at the default bound of 16 it enumerates
     // ~2^pending subsets per unmatched arrival).
-    let coordinator = Coordinator::with_config(
+    let coordinator = ShardedCoordinator::single(
         db,
         CoordinatorConfig {
             matcher,
@@ -35,7 +38,7 @@ fn loaded_stack(matcher: MatcherKind, noise: usize) -> (Coordinator, youtopia_tr
             ..CoordinatorConfig::default()
         },
     );
-    preload_noise(&coordinator, &mut gen, noise, "Paris");
+    preload_noise(&coordinator, &gen.noise(noise, "Paris"));
     let first = WorkloadGen::pair_request("probeA", "probeB", "Paris");
     let closing = WorkloadGen::pair_request("probeB", "probeA", "Paris");
     let sub = coordinator.submit_sql(&first.owner, &first.sql).unwrap();
@@ -47,7 +50,7 @@ fn loaded_stack(matcher: MatcherKind, noise: usize) -> (Coordinator, youtopia_tr
 /// spread over four relation families (one per shard), with the probe
 /// pair's first half already pending on `Reservation0`.
 fn loaded_sharded_stack(noise: usize) -> (ShardedCoordinator, youtopia_travel::Request) {
-    let stack = build_sharded_stack(
+    let stack = build_stack(
         7,
         200,
         &["Paris", "Rome"],
@@ -65,7 +68,7 @@ fn loaded_sharded_stack(noise: usize) -> (ShardedCoordinator, youtopia_travel::R
         },
     );
     let mut gen = WorkloadGen::new(7);
-    preload_noise_sharded(&stack.coordinator, &mut gen, noise, "Paris", 4);
+    preload_noise(&stack.coordinator, &gen.noise_multi(noise, "Paris", 4));
     let first = WorkloadGen::pair_request_on("Reservation0", "probeA", "probeB", "Paris");
     let closing = WorkloadGen::pair_request_on("Reservation0", "probeB", "probeA", "Paris");
     let sub = stack
@@ -173,14 +176,17 @@ fn bench_loaded_system(c: &mut Criterion) {
         sweep.bench_with_input(BenchmarkId::new("retry_all", noise), &noise, |b, &noise| {
             b.iter_batched(
                 || {
-                    let Stack { coordinator, .. } = youtopia_bench::build_stack(
+                    let Stack { coordinator, .. } = build_stack(
                         9,
                         200,
                         &["Paris", "Rome"],
-                        CoordinatorConfig::default(),
+                        ShardedConfig {
+                            shards: 1,
+                            ..Default::default()
+                        },
                     );
                     let mut gen = WorkloadGen::new(11);
-                    preload_noise(&coordinator, &mut gen, noise, "Paris");
+                    preload_noise(&coordinator, &gen.noise(noise, "Paris"));
                     coordinator
                 },
                 |coordinator| {

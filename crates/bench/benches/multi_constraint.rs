@@ -5,13 +5,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use youtopia_core::{Coordinator, CoordinatorConfig, Submission};
+use youtopia_core::{CoordinatorConfig, ShardedCoordinator, Submission};
 use youtopia_travel::{Request, WorkloadGen};
 
-fn staged(extra: usize) -> (Coordinator, Request) {
+fn staged(extra: usize) -> (ShardedCoordinator, Request) {
     let mut gen = WorkloadGen::new(19);
     let db = gen.build_database(100, &["Paris"]).unwrap();
-    let coordinator = Coordinator::with_config(db, CoordinatorConfig::default());
+    let coordinator = ShardedCoordinator::single(db, CoordinatorConfig::default());
     let first = WorkloadGen::pair_with_constraint_count("a", "b", "Paris", extra);
     let closing = WorkloadGen::pair_with_constraint_count("b", "a", "Paris", extra);
     let sub = coordinator.submit_sql(&first.owner, &first.sql).unwrap();
@@ -51,7 +51,7 @@ fn bench_multi_constraint(c: &mut Criterion) {
             || {
                 let mut gen = WorkloadGen::new(23);
                 let db = gen.build_database(100, &["Paris"]).unwrap();
-                let coordinator = Coordinator::with_config(db, CoordinatorConfig::default());
+                let coordinator = ShardedCoordinator::single(db, CoordinatorConfig::default());
                 let first = WorkloadGen::pair_request("a", "b", "Paris");
                 coordinator.submit_sql(&first.owner, &first.sql).unwrap();
                 (coordinator, WorkloadGen::pair_request("b", "a", "Paris"))
@@ -71,7 +71,7 @@ fn bench_multi_constraint(c: &mut Criterion) {
             || {
                 let mut gen = WorkloadGen::new(23);
                 let db = gen.build_database(100, &["Paris"]).unwrap();
-                let coordinator = Coordinator::with_config(db, CoordinatorConfig::default());
+                let coordinator = ShardedCoordinator::single(db, CoordinatorConfig::default());
                 let first = WorkloadGen::pair_flight_hotel("a", "b", "Paris");
                 coordinator.submit_sql(&first.owner, &first.sql).unwrap();
                 (

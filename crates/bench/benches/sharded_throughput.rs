@@ -1,12 +1,13 @@
-//! Sharded-coordinator throughput: the tentpole experiment for the
-//! sharding PR. Measures end-to-end submission throughput of a
-//! multi-relation pair workload over a standing noise load, comparing
+//! Sharded-coordinator throughput. Measures end-to-end submission
+//! throughput of a multi-relation pair workload over a standing noise
+//! load, comparing
 //!
-//! * the **serial** coordinator (one global mutex, cascade scans every
-//!   pending query), against
-//! * the **sharded** coordinator (4 shards; routing by answer-relation
-//!   signature confines every cascade scan and match attempt to one
-//!   shard's registry).
+//! * **serial**: one shard, one arrival at a time (`submit_sql` per
+//!   request) — the paper's serial coordinator, one matching domain
+//!   over the whole pending registry — against
+//! * **sharded**: 4 shards fed by batch submission; routing by
+//!   answer-relation signature confines every cascade and match
+//!   attempt to one shard's registry.
 //!
 //! The headline numbers — requests/second for both configurations and
 //! their ratio — are written to `BENCH_sharded.json` at the repository
@@ -19,8 +20,8 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
-use youtopia_bench::{build_sharded_stack, build_stack, preload_noise_sharded};
-use youtopia_core::{CoordinatorConfig, ShardedConfig};
+use youtopia_bench::{build_stack, preload_noise};
+use youtopia_core::ShardedConfig;
 use youtopia_travel::{drive_batched, Request, WorkloadGen};
 
 /// Workload shape shared by the headline comparison and the criterion
@@ -39,17 +40,16 @@ fn storm_workload(noise: usize) -> (Vec<Request>, Vec<Request>) {
     (noise_reqs, storm)
 }
 
-/// Serial throughput: per-arrival submission through the global mutex.
+/// Serial throughput: per-arrival submission to one shard.
 /// Returns (elapsed seconds, answered count).
 fn run_serial(noise: usize) -> (f64, usize) {
-    let stack = build_stack(7, FLIGHTS, &["Paris", "Rome"], CoordinatorConfig::default());
+    let config = ShardedConfig {
+        shards: 1,
+        ..Default::default()
+    };
+    let stack = build_stack(7, FLIGHTS, &["Paris", "Rome"], config);
     let (noise_reqs, storm) = storm_workload(noise);
-    for r in &noise_reqs {
-        stack
-            .coordinator
-            .submit_sql(&r.owner, &r.sql)
-            .expect("noise submits");
-    }
+    preload_noise(&stack.coordinator, &noise_reqs);
     let started = Instant::now();
     let mut answered = 0;
     for r in &storm {
@@ -70,10 +70,9 @@ fn run_sharded(noise: usize) -> (f64, usize) {
         shards: SHARDS,
         ..Default::default()
     };
-    let stack = build_sharded_stack(7, FLIGHTS, &["Paris", "Rome"], config);
-    let mut gen = WorkloadGen::new(42);
-    preload_noise_sharded(&stack.coordinator, &mut gen, noise, "Paris", RELATIONS);
-    let storm = gen.pair_storm_multi(PAIRS, "Paris", RELATIONS);
+    let stack = build_stack(7, FLIGHTS, &["Paris", "Rome"], config);
+    let (noise_reqs, storm) = storm_workload(noise);
+    preload_noise(&stack.coordinator, &noise_reqs);
     let started = Instant::now();
     let report = drive_batched(&stack.coordinator, &storm, BATCH);
     let elapsed = started.elapsed().as_secs_f64();

@@ -6,13 +6,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
 use youtopia_bench::submit_all;
-use youtopia_core::{Coordinator, CoordinatorConfig};
+use youtopia_core::{CoordinatorConfig, ShardedCoordinator};
 use youtopia_travel::{Request, WorkloadGen};
 
-fn prepared(pairs: usize) -> (Coordinator, Vec<Request>) {
+fn prepared(pairs: usize) -> (ShardedCoordinator, Vec<Request>) {
     let mut gen = WorkloadGen::new(17);
     let db = gen.build_database(100, &["Paris"]).unwrap();
-    let coordinator = Coordinator::with_config(db, CoordinatorConfig::default());
+    let coordinator = ShardedCoordinator::single(db, CoordinatorConfig::default());
     let requests = gen.pair_storm(pairs, "Paris");
     (coordinator, requests)
 }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use youtopia_bench::preload_noise;
-use youtopia_core::{Coordinator, CoordinatorConfig, MatchConfig, MatcherKind, Submission};
+use youtopia_core::{CoordinatorConfig, MatchConfig, MatcherKind, ShardedCoordinator, Submission};
 use youtopia_exec::run_sql;
 use youtopia_storage::Database;
 use youtopia_travel::{FlightPrefs, TravelService, WorkloadGen};
@@ -75,7 +75,7 @@ fn e1_fig1_worked_example() {
     let mut histogram: HashMap<i64, usize> = HashMap::new();
     let runs = 300u64;
     for seed in 0..runs {
-        let co = Coordinator::with_config(
+        let co = ShardedCoordinator::single(
             fig1_db(),
             CoordinatorConfig {
                 seed,
@@ -132,7 +132,7 @@ fn e3_constraint_complexity() {
             || {
                 let mut gen = WorkloadGen::new(19);
                 let db = gen.build_database(100, &["Paris"]).unwrap();
-                let co = Coordinator::with_config(db, CoordinatorConfig::default());
+                let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
                 let first = WorkloadGen::pair_with_constraint_count("a", "b", "Paris", extra);
                 co.submit_sql(&first.owner, &first.sql).unwrap();
                 (
@@ -162,7 +162,7 @@ fn e4_simultaneous_pairs() {
             || {
                 let mut gen = WorkloadGen::new(17);
                 let db = gen.build_database(100, &["Paris"]).unwrap();
-                let co = Coordinator::with_config(db, CoordinatorConfig::default());
+                let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
                 let reqs = gen.pair_storm(pairs, "Paris");
                 (co, reqs)
             },
@@ -188,7 +188,7 @@ fn e5_group_size() {
             || {
                 let mut gen = WorkloadGen::new(13);
                 let db = gen.build_database(100, &["Paris"]).unwrap();
-                let co = Coordinator::with_config(db, CoordinatorConfig::default());
+                let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
                 let mut reqs = gen.group(0, size, "Paris");
                 let closing = reqs.pop().unwrap();
                 for r in &reqs {
@@ -269,7 +269,7 @@ fn e7_loaded_system() {
                 let db = gen.build_database(200, &["Paris", "Rome"]).unwrap();
                 // group bound 3: at the default bound of 16 the naive
                 // baseline's unmatched arrivals never terminate.
-                let co = Coordinator::with_config(
+                let co = ShardedCoordinator::single(
                     db,
                     CoordinatorConfig {
                         matcher,
@@ -280,7 +280,7 @@ fn e7_loaded_system() {
                         ..Default::default()
                     },
                 );
-                preload_noise(&co, &mut gen, noise, "Paris");
+                preload_noise(&co, &gen.noise(noise, "Paris"));
                 let first = WorkloadGen::pair_request("probeA", "probeB", "Paris");
                 co.submit_sql(&first.owner, &first.sql).unwrap();
 
@@ -357,7 +357,7 @@ fn e9_choose_distribution() {
             &format!("INSERT INTO Flights VALUES {}", rows.join(",")),
         )
         .unwrap();
-        let co = Coordinator::with_config(
+        let co = ShardedCoordinator::single(
             db,
             CoordinatorConfig {
                 seed,
@@ -414,8 +414,8 @@ fn e10_ablation() {
                     },
                     ..Default::default()
                 };
-                let co = Coordinator::with_config(db, config);
-                preload_noise(&co, &mut gen, 200, "Paris");
+                let co = ShardedCoordinator::single(db, config);
+                preload_noise(&co, &gen.noise(200, "Paris"));
                 let first = WorkloadGen::pair_request("probeA", "probeB", "Paris");
                 co.submit_sql(&first.owner, &first.sql).unwrap();
                 (co, WorkloadGen::pair_request("probeB", "probeA", "Paris"))
@@ -457,7 +457,7 @@ fn e10_ablation() {
                     },
                     ..Default::default()
                 };
-                let co = Coordinator::with_config(db, config);
+                let co = ShardedCoordinator::single(db, config);
                 let mut reqs = gen.group(0, 8, "Paris");
                 let closing = reqs.pop().unwrap();
                 for r in &reqs {

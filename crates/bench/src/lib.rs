@@ -10,9 +10,7 @@
 
 #![warn(missing_docs)]
 
-use youtopia_core::{
-    Coordinator, CoordinatorConfig, ShardedConfig, ShardedCoordinator, Submission,
-};
+use youtopia_core::{ShardedConfig, ShardedCoordinator, Submission};
 use youtopia_storage::Database;
 use youtopia_travel::{drive_batched, Request, WorkloadGen};
 
@@ -21,28 +19,25 @@ pub struct Stack {
     /// The database with the travel schema and generated flights.
     pub db: Database,
     /// The coordinator under test.
-    pub coordinator: Coordinator,
+    pub coordinator: ShardedCoordinator,
 }
 
 /// Builds a stack whose database has `n_flights` flights to the given
-/// cities, with the supplied coordinator configuration.
-pub fn build_stack(
-    seed: u64,
-    n_flights: usize,
-    cities: &[&str],
-    config: CoordinatorConfig,
-) -> Stack {
+/// cities, with the supplied coordinator configuration (`shards: 1`
+/// for the paper's serial coordinator).
+pub fn build_stack(seed: u64, n_flights: usize, cities: &[&str], config: ShardedConfig) -> Stack {
     let mut gen = WorkloadGen::new(seed);
     let db = gen
         .build_database(n_flights, cities)
         .expect("workload database builds");
-    let coordinator = Coordinator::with_config(db.clone(), config);
+    let coordinator = ShardedCoordinator::with_config(db.clone(), config);
     Stack { db, coordinator }
 }
 
-/// Submits requests in order; returns (answered, pending) counts.
-/// Panics on rejection — the generators only produce safe queries.
-pub fn submit_all(coordinator: &Coordinator, requests: &[Request]) -> (usize, usize) {
+/// Submits requests one arrival at a time, in order; returns
+/// (answered, pending) counts. Panics on rejection — the generators
+/// only produce safe queries.
+pub fn submit_all(coordinator: &ShardedCoordinator, requests: &[Request]) -> (usize, usize) {
     let mut answered = 0;
     let mut pending = 0;
     for r in requests {
@@ -57,53 +52,15 @@ pub fn submit_all(coordinator: &Coordinator, requests: &[Request]) -> (usize, us
     (answered, pending)
 }
 
-/// Pre-loads `noise` unmatchable pending queries (the standing load of
-/// the loaded-system experiment).
-pub fn preload_noise(coordinator: &Coordinator, gen: &mut WorkloadGen, noise: usize, dest: &str) {
-    let requests = gen.noise(noise, dest);
-    let (answered, pending) = submit_all(coordinator, &requests);
-    assert_eq!(answered, 0, "noise must not match");
-    assert_eq!(pending, noise);
-}
-
-/// A prepared sharded coordination stack: database + sharded
-/// coordinator.
-pub struct ShardedStack {
-    /// The database with the travel schema and generated flights.
-    pub db: Database,
-    /// The sharded coordinator under test.
-    pub coordinator: ShardedCoordinator,
-}
-
-/// Builds a sharded stack over a freshly generated travel database.
-pub fn build_sharded_stack(
-    seed: u64,
-    n_flights: usize,
-    cities: &[&str],
-    config: ShardedConfig,
-) -> ShardedStack {
-    let mut gen = WorkloadGen::new(seed);
-    let db = gen
-        .build_database(n_flights, cities)
-        .expect("workload database builds");
-    let coordinator = ShardedCoordinator::with_config(db.clone(), config);
-    ShardedStack { db, coordinator }
-}
-
-/// Pre-loads `noise` unmatchable pending queries spread over
-/// `relations` answer relations (the standing load of the sharded
-/// loaded-system experiment).
-pub fn preload_noise_sharded(
-    coordinator: &ShardedCoordinator,
-    gen: &mut WorkloadGen,
-    noise: usize,
-    dest: &str,
-    relations: usize,
-) {
-    let requests = gen.noise_multi(noise, dest, relations);
-    let report = drive_batched(coordinator, &requests, 256);
+/// Pre-loads never-matching queries (the standing load of the
+/// loaded-system experiments, e.g. [`WorkloadGen::noise`] or
+/// [`WorkloadGen::noise_multi`]) in batches of 256. On one shard a
+/// batch drains arrival by arrival, so this equals submitting them one
+/// at a time.
+pub fn preload_noise(coordinator: &ShardedCoordinator, noise: &[Request]) {
+    let report = drive_batched(coordinator, noise, 256);
     assert_eq!(report.answered, 0, "noise must not match");
-    assert_eq!(report.pending, noise);
+    assert_eq!(report.pending, noise.len());
 }
 
 /// One line naming the measuring host — CPU model and logical CPU
@@ -146,11 +103,17 @@ pub fn source_commit() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use youtopia_travel::WorkloadGen;
+
+    fn one_shard() -> ShardedConfig {
+        ShardedConfig {
+            shards: 1,
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn stack_builds_and_matches_pairs() {
-        let stack = build_stack(1, 50, &["Paris"], CoordinatorConfig::default());
+        let stack = build_stack(1, 50, &["Paris"], one_shard());
         let mut gen = WorkloadGen::new(2);
         let reqs = gen.pair_storm(5, "Paris");
         let (answered, pending) = submit_all(&stack.coordinator, &reqs);
@@ -161,9 +124,9 @@ mod tests {
 
     #[test]
     fn noise_preload_stays_pending() {
-        let stack = build_stack(1, 50, &["Paris"], CoordinatorConfig::default());
+        let stack = build_stack(1, 50, &["Paris"], one_shard());
         let mut gen = WorkloadGen::new(3);
-        preload_noise(&stack.coordinator, &mut gen, 20, "Paris");
+        preload_noise(&stack.coordinator, &gen.noise(20, "Paris"));
         assert_eq!(stack.coordinator.pending_count(), 20);
     }
 }

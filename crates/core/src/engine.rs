@@ -1,14 +1,13 @@
-//! The shared match engine: per-registry coordination logic used by
-//! both the serial [`crate::Coordinator`] and every shard of the
-//! [`crate::ShardedCoordinator`] — plus the **coordination log**, the
-//! durable event stream that makes both coordinators crash-recoverable.
+//! The shared match engine: per-registry coordination logic run by
+//! every shard of the [`crate::ShardedCoordinator`] — plus the
+//! **coordination log**, the durable event stream that makes the
+//! coordinator crash-recoverable.
 //!
-//! A [`ShardState`] is one independent matching domain: a pending-query
-//! registry, the RNG that resolves `CHOOSE` nondeterminism, waiter
-//! channels, and counters. The [`Engine`] owns nothing mutable — it
-//! borrows a `ShardState` for each operation, so callers decide the
-//! locking granularity (one global mutex for the serial coordinator,
-//! one mutex per shard for the sharded one).
+//! A `ShardState` is one independent matching domain: a pending-query
+//! registry, the RNG that resolves `CHOOSE` nondeterminism, the
+//! waiters' completion slots, and counters. The `Engine` owns nothing
+//! mutable — it borrows a `ShardState` for each operation, and the
+//! coordinator holds one mutex per shard around it.
 //!
 //! # The coordination log
 //!
@@ -27,7 +26,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, BytesMut};
-use crossbeam::channel::{unbounded, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +36,7 @@ use youtopia_storage::{
 };
 
 use crate::coordinator::{
-    CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind, Submission, Ticket,
+    CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind,
 };
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
@@ -56,7 +54,7 @@ use crate::SystemStats;
 pub struct RegStamp {
     /// Submit time in clock milliseconds.
     pub at: u64,
-    /// Shard index that accepted the query (0 for the serial
+    /// Shard index that accepted the query (0 for a one-shard
     /// coordinator).
     pub shard: u32,
 }
@@ -469,102 +467,13 @@ pub(crate) fn replay_coordination_frames(frames: &[Vec<u8>]) -> CoreResult<Repla
 }
 
 /// A borrowed apply hook: side effects executed inside the match's
-/// storage transaction. The serial coordinator stores a `Box`, the
-/// sharded coordinator an `Arc` shared by all shards; both lend the
-/// engine a plain `&dyn Fn`.
+/// storage transaction. The coordinator stores an `Arc` shared by all
+/// shards and lends the engine a plain `&dyn Fn`.
 pub(crate) type HookRef<'a> =
     Option<&'a dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()>>;
 
-/// How a submission wants to be notified when it terminates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WaitMode {
-    /// Blocking ticket channel ([`Ticket`]): the original API.
-    Sync,
-    /// Parked waker ([`CoordinationFuture`]): the async API.
-    Async,
-}
-
-/// One parked waiter of a pending query. A match commit *answers* it;
-/// cancellation, expiry and supersession *resolve* it with the matching
-/// terminal outcome — every code path that removes a pending query must
-/// consume its waiter through one of those two methods, never drop it
-/// silently (a silently dropped future waiter would leave the future
-/// pending forever).
-#[derive(Debug)]
-pub(crate) enum Waiter {
-    /// The sync ticket's channel. Terminal outcomes other than an
-    /// answer just drop the sender: the blocked receiver observes the
-    /// disconnect, exactly as before the async API existed.
-    Channel(Sender<MatchNotification>),
-    /// The async future's completion slot.
-    Future(Arc<TicketShared>),
-}
-
-impl Waiter {
-    /// Delivers a match notification.
-    pub(crate) fn notify_answered(self, n: MatchNotification) {
-        match self {
-            // the receiver may have been dropped
-            Waiter::Channel(tx) => drop(tx.send(n)),
-            Waiter::Future(shared) => shared.complete(CoordinationOutcome::Answered(n)),
-        }
-    }
-
-    /// Resolves the waiter with a non-answer terminal outcome
-    /// (cancelled / expired / superseded).
-    pub(crate) fn resolve_terminal(self, outcome: CoordinationOutcome) {
-        match self {
-            Waiter::Channel(_) => {} // dropping the sender disconnects the ticket
-            Waiter::Future(shared) => shared.complete(outcome),
-        }
-    }
-}
-
-/// Outcome of a mode-parameterized arrival: the sync [`Submission`] or
-/// the async [`CoordinationFuture`], remembering whether the query was
-/// left pending at creation time (the sharded coordinator's placement
-/// healing keys off that).
-pub(crate) enum Arrival {
-    /// Sync submission outcome.
-    Sync(Submission),
-    /// Async submission outcome.
-    Async {
-        /// The future handed to the submitter.
-        future: CoordinationFuture,
-        /// Whether the query was registered as pending (vs answered on
-        /// arrival).
-        pending: bool,
-    },
-}
-
-impl Arrival {
-    /// Whether the arrival left the query pending.
-    pub(crate) fn is_pending(&self) -> bool {
-        match self {
-            Arrival::Sync(s) => matches!(s, Submission::Pending(_)),
-            Arrival::Async { pending, .. } => *pending,
-        }
-    }
-
-    /// Unwraps the sync variant (callers pass `WaitMode::Sync`).
-    pub(crate) fn into_sync(self) -> Submission {
-        match self {
-            Arrival::Sync(s) => s,
-            Arrival::Async { .. } => unreachable!("sync arrival produced an async outcome"),
-        }
-    }
-
-    /// Unwraps the async variant (callers pass `WaitMode::Async`).
-    pub(crate) fn into_async(self) -> CoordinationFuture {
-        match self {
-            Arrival::Async { future, .. } => future,
-            Arrival::Sync(_) => unreachable!("async arrival produced a sync outcome"),
-        }
-    }
-}
-
-/// One independent matching domain (the whole system for the serial
-/// coordinator; one shard for the sharded coordinator).
+/// One independent matching domain (one shard of the coordinator; the
+/// whole system when there is one shard).
 pub(crate) struct ShardState {
     /// Pending queries of this domain.
     pub registry: Registry,
@@ -572,12 +481,22 @@ pub(crate) struct ShardState {
     pub rng: StdRng,
     /// Counters local to this domain (merge across shards for totals).
     pub stats: SystemStats,
-    /// Parked waiters (ticket channels or future wakers) of this
-    /// domain's pending queries.
-    pub waiters: HashMap<QueryId, Waiter>,
+    /// The completion slot of each pending query's handle (a future or
+    /// a sync ticket — both read the same slot). A match commit
+    /// answers it; cancellation, expiry and supersession resolve it
+    /// with the matching terminal outcome. Every code path that
+    /// removes a pending query must complete its slot, never drop it
+    /// silently: a dropped slot would leave its future pending forever.
+    pub waiters: HashMap<QueryId, Arc<TicketShared>>,
+    /// Terminal outcomes decided under the shard lock, queued for their
+    /// handles and delivered by [`ShardState::deliver_resolved`] when
+    /// the lock is released — after the shard's monitor counters are
+    /// republished, so a woken submitter never reads a gauge older than
+    /// its own outcome.
+    pub resolved: Vec<(Arc<TicketShared>, CoordinationOutcome)>,
     /// Queries answered (removed) since the owner last drained this
-    /// log. The sharded coordinator uses it to retire router
-    /// memberships; the serial coordinator clears it after each call.
+    /// log; the coordinator uses it to retire router memberships and
+    /// tenant reservations.
     pub answered_log: Vec<QueryId>,
     /// Match-commit audit events buffered under the shard lock; the
     /// owner flushes them in one storage transaction before releasing
@@ -598,8 +517,29 @@ impl ShardState {
             rng: StdRng::seed_from_u64(seed),
             stats: SystemStats::default(),
             waiters: HashMap::new(),
+            resolved: Vec::new(),
             answered_log: Vec::new(),
             audit_pending: Vec::new(),
+        }
+    }
+}
+
+impl ShardState {
+    /// Completes every queued terminal outcome (see `resolved`).
+    pub(crate) fn deliver_resolved(&mut self) {
+        for (waiter, outcome) in self.resolved.drain(..) {
+            waiter.complete(outcome);
+        }
+    }
+}
+
+impl Drop for ShardState {
+    /// A coordinator dropped with queries in flight: release every slot
+    /// and wake its parked handle, so a blocked sync ticket observes the
+    /// disconnect instead of sleeping forever.
+    fn drop(&mut self) {
+        for (_, shared) in self.waiters.drain() {
+            shared.abandon();
         }
     }
 }
@@ -654,18 +594,17 @@ impl Engine {
 impl Engine {
     /// Registers an arrived (already safety-checked, namespaced)
     /// pending query and runs arrival-driven matching, cascading
-    /// through freshly committed answers until quiescent. `mode` picks
-    /// the notification style: a pending query parks either a ticket
-    /// channel or a future's completion slot in the waiter table. The
-    /// waiter is registered under the caller's lock on `state`, so a
-    /// completion racing in from another arrival can never miss it.
-    pub(crate) fn process_arrival_mode(
+    /// through freshly committed answers until quiescent. A query left
+    /// pending parks its handle's completion slot in the waiter table,
+    /// under the caller's lock on `state`, so a completion racing in
+    /// from another arrival can never miss it; a query answered on
+    /// arrival gets an already-resolved future.
+    pub(crate) fn process_arrival(
         &self,
         state: &mut ShardState,
         pending: Pending,
         hook: HookRef,
-        mode: WaitMode,
-    ) -> CoreResult<Arrival> {
+    ) -> CoreResult<CoordinationFuture> {
         let qid = pending.id;
         state.registry.insert(pending);
         state.stats.submitted += 1;
@@ -686,34 +625,16 @@ impl Engine {
                 // postconditions ("the system-wide answer relation"):
                 // cascade until quiescent.
                 self.cascade(state, fresh, hook)?;
-                Ok(match mode {
-                    WaitMode::Sync => Arrival::Sync(Submission::Answered(n)),
-                    WaitMode::Async => Arrival::Async {
-                        future: CoordinationFuture::ready(qid, CoordinationOutcome::Answered(n)),
-                        pending: false,
-                    },
-                })
+                Ok(CoordinationFuture::ready(
+                    qid,
+                    CoordinationOutcome::Answered(n),
+                ))
             }
-            None => Ok(match mode {
-                WaitMode::Sync => {
-                    let (tx, rx) = unbounded();
-                    state.waiters.insert(qid, Waiter::Channel(tx));
-                    Arrival::Sync(Submission::Pending(Ticket {
-                        id: qid,
-                        receiver: rx,
-                    }))
-                }
-                WaitMode::Async => {
-                    let shared = Arc::new(TicketShared::default());
-                    state
-                        .waiters
-                        .insert(qid, Waiter::Future(Arc::clone(&shared)));
-                    Arrival::Async {
-                        future: CoordinationFuture::new(qid, shared),
-                        pending: true,
-                    }
-                }
-            }),
+            None => {
+                let shared = Arc::new(TicketShared::default());
+                state.waiters.insert(qid, Arc::clone(&shared));
+                Ok(CoordinationFuture::new(qid, shared))
+            }
         }
     }
 
@@ -864,7 +785,8 @@ impl Engine {
                 answers: m.answers.get(&qid).cloned().unwrap_or_default(),
             };
             if let Some(waiter) = state.waiters.remove(&qid) {
-                waiter.notify_answered(n.clone());
+                let answered = CoordinationOutcome::Answered(n.clone());
+                state.resolved.push((waiter, answered));
             }
             notifications.push(n);
         }
@@ -953,8 +875,8 @@ impl Engine {
 
     /// The shared lifecycle retirement path: durably logs `event(qid)`
     /// for every id (one group commit), then removes each from the
-    /// registry and resolves its parked waiter with `outcome` — sync
-    /// tickets disconnect, futures resolve the terminal outcome.
+    /// registry and resolves its parked waiter with `outcome` — a
+    /// future resolves the terminal outcome, a sync ticket disconnects.
     /// Log-before-ack: when the log write fails, *nothing* is removed
     /// and the result is empty. Returns the ids actually retired (ids
     /// no longer pending are skipped silently, so callers may race
@@ -963,7 +885,7 @@ impl Engine {
     ///
     /// Every bulk removal — seq-based `expire_before`, owner-wide
     /// `cancel_owner`, deadline-driven `expire_due` — is built on this
-    /// one helper on both coordinators.
+    /// one helper.
     pub(crate) fn retire_ids(
         &self,
         state: &mut ShardState,
@@ -984,7 +906,7 @@ impl Engine {
                 continue; // already answered/removed under this lock
             }
             if let Some(waiter) = state.waiters.remove(&qid) {
-                waiter.resolve_terminal(outcome.clone());
+                state.resolved.push((waiter, outcome.clone()));
             }
             retired.push(qid);
         }

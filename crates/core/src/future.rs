@@ -1,17 +1,24 @@
-//! Poll-based coordination futures and the [`WaiterSet`] driver — the
-//! async submission subsystem.
+//! Poll-based coordination futures, the blocking [`TicketReceiver`]
+//! view over the same completion slot, and the [`WaiterSet`] driver.
 //!
-//! The sync API hands every pending query a [`crate::Ticket`] whose
-//! channel the submitter *blocks* on: one OS thread per in-flight
-//! coordination. That caps a front-end far below the "thousands of
-//! in-flight coordinations" the coordination model is supposed to pay
-//! off at. The async API replaces the blocking receiver with a
-//! [`CoordinationFuture`]: a plain `std::future::Future` whose waker is
-//! parked in the coordinator's waiter table and fired by whichever code
-//! path terminates the query — a match commit, a cancellation, an
-//! expiry sweep (seq-based, or the deadline-driven `expire_due` run by
-//! the background [`crate::DeadlineSweeper`]), or a reattach that
-//! supersedes the handle.
+//! Every pending query parks exactly one waiter in the coordinator's
+//! waiter table: a completion slot (`TicketShared`) that whichever
+//! code path terminates the query fills in — a match commit, a
+//! cancellation, an expiry sweep (seq-based, or the deadline-driven
+//! `expire_due` run by the background [`crate::DeadlineSweeper`]), or a
+//! reattach that supersedes the handle. The submitter reads that slot
+//! through one of two handles:
+//!
+//! * a [`CoordinationFuture`]: a plain `std::future::Future` whose
+//!   waker is parked in the slot, so one thread can hold thousands of
+//!   in-flight coordinations;
+//! * a sync [`crate::Ticket`], whose [`TicketReceiver`] reads the slot
+//!   with the `std::sync::mpsc` receiver vocabulary (`try_recv`,
+//!   `recv`, `recv_timeout`) and blocks on a thread-parking waker.
+//!
+//! The sync submission entry points are conversions of their async
+//! twins ([`CoordinationFuture`] → [`crate::Submission`]), so both
+//! handles are fed by one submission pipeline.
 //!
 //! No external async runtime is required (and none is linked): the
 //! future is poll-based over `std::task`, so it works under any
@@ -23,16 +30,17 @@
 //!
 //! # Waker lifecycle
 //!
-//! A future's shared slot ([`TicketShared`]) lives in two places: the
-//! future itself, and the owning coordinator's per-shard waiter table.
-//! The coordinator completes the slot **while holding the shard lock**
-//! (so a completion cannot race a migration moving the waiter between
-//! shards), but fires the parked waker *after* taking it out of the
+//! A handle's shared slot lives in two places: the handle itself, and
+//! the owning coordinator's per-shard waiter table. The coordinator
+//! completes the slot **while holding the shard lock** — as the lock is
+//! released, right after the shard's monitor counters are republished —
+//! so a completion cannot race a migration moving the waiter between
+//! shards, and fires the parked waker *after* taking it out of the
 //! slot's own mutex — waker callbacks never run under a slot lock, and
 //! the slot mutex is a leaf: no coordinator lock is ever taken inside
 //! it. The first terminal outcome wins; later completions (e.g. a
 //! reattach superseding an already-answered handle) are no-ops.
-//! Dropping a future without polling it is safe — the slot completes
+//! Dropping a handle without reading it is safe — the slot completes
 //! into the void, which is exactly what a crashed front-end looks like;
 //! [`crate::ShardedCoordinator::reattach_async`] hands the reconnect a
 //! fresh future for the same query. See `docs/async.md`.
@@ -40,11 +48,12 @@
 use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{RecvError, RecvTimeoutError, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
-use crate::coordinator::MatchNotification;
+use crate::coordinator::{MatchNotification, Submission, Ticket};
 use crate::ir::QueryId;
 
 /// Terminal result of an asynchronously submitted entangled query.
@@ -54,14 +63,14 @@ pub enum CoordinationOutcome {
     /// The query's group matched; these are its answers.
     Answered(MatchNotification),
     /// The query was withdrawn by its owner
-    /// ([`crate::Coordinator::cancel`] /
-    /// [`crate::Coordinator::cancel_owner`]).
+    /// ([`crate::ShardedCoordinator::cancel`] /
+    /// [`crate::ShardedCoordinator::cancel_owner`]).
     Cancelled,
     /// The query was retired by an expiry sweep — a deadline-driven
     /// `expire_due` (usually run by the background
     /// [`crate::DeadlineSweeper`] when the query's
     /// [`crate::SubmitOptions::deadline`] lapses) or the legacy
-    /// seq-based [`crate::Coordinator::expire_before`].
+    /// seq-based [`crate::ShardedCoordinator::expire_before`].
     Expired,
     /// A newer handle for the same query was issued (the owner
     /// reattached); this future will never receive the answer.
@@ -80,9 +89,10 @@ impl CoordinationOutcome {
     }
 }
 
-/// The completion slot shared between a [`CoordinationFuture`] and the
+/// The completion slot shared between a submitter's handle (a
+/// [`CoordinationFuture`] or a [`TicketReceiver`]) and the
 /// coordinator's waiter table: the terminal outcome (set once) and the
-/// parked waker of whoever polled last.
+/// parked waker of whoever waited last.
 #[derive(Debug, Default)]
 pub(crate) struct TicketShared {
     slot: Mutex<Slot>,
@@ -108,17 +118,34 @@ impl TicketShared {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Sets the terminal outcome (first writer wins) and fires the
     /// parked waker, outside the slot lock. Idempotent.
     pub(crate) fn complete(&self, outcome: CoordinationOutcome) {
         let waker = {
-            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.outcome.is_some() {
+            let mut slot = self.lock();
+            if slot.outcome.is_some() || slot.taken {
                 return; // the first terminal result wins
             }
             slot.outcome = Some(outcome);
             slot.waker.take()
         };
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+
+    /// Releases the coordinator's side of an unresolved slot (the
+    /// coordinator is being dropped with the query still in flight)
+    /// and wakes whoever is parked on it, so a blocked
+    /// [`TicketReceiver`] observes the disconnect. A future stays
+    /// pending: nothing will ever complete it.
+    pub(crate) fn abandon(self: Arc<Self>) {
+        let waker = self.lock().waker.take();
+        drop(self);
         if let Some(waker) = waker {
             waker.wake();
         }
@@ -135,16 +162,24 @@ impl TicketShared {
 /// or block on a single one with
 /// [`CoordinationFuture::wait_timeout`]. The query id is available
 /// immediately via [`CoordinationFuture::id`] (usable with
-/// [`crate::Coordinator::cancel`] while in flight).
+/// [`crate::ShardedCoordinator::cancel`] while in flight).
 #[derive(Debug)]
 pub struct CoordinationFuture {
     id: QueryId,
     shared: Arc<TicketShared>,
+    /// The query's own arrival completed its group, so the submitter
+    /// got the answer back directly (the sync API's
+    /// [`Submission::Answered`]).
+    answered_on_arrival: bool,
 }
 
 impl CoordinationFuture {
     pub(crate) fn new(id: QueryId, shared: Arc<TicketShared>) -> CoordinationFuture {
-        CoordinationFuture { id, shared }
+        CoordinationFuture {
+            id,
+            shared,
+            answered_on_arrival: false,
+        }
     }
 
     /// A future that is already terminal (queries answered on arrival).
@@ -152,6 +187,37 @@ impl CoordinationFuture {
         CoordinationFuture {
             id,
             shared: Arc::new(TicketShared::completed(outcome)),
+            answered_on_arrival: true,
+        }
+    }
+
+    /// Whether the query was answered by its own arrival (as opposed
+    /// to registered as pending, whatever happened to it since).
+    pub(crate) fn answered_on_arrival(&self) -> bool {
+        self.answered_on_arrival
+    }
+
+    /// The sync view of a submission: the answer itself when the
+    /// arrival completed a group, otherwise a [`Ticket`] over this
+    /// future's slot.
+    pub(crate) fn into_submission(self) -> Submission {
+        let answered_on_arrival = self.answered_on_arrival;
+        let ticket = self.into_ticket();
+        if answered_on_arrival {
+            if let Ok(n) = ticket.receiver.try_recv() {
+                return Submission::Answered(n);
+            }
+        }
+        Submission::Pending(ticket)
+    }
+
+    /// The blocking [`Ticket`] view over this future's slot.
+    pub(crate) fn into_ticket(self) -> Ticket {
+        Ticket {
+            id: self.id,
+            receiver: TicketReceiver {
+                shared: self.shared,
+            },
         }
     }
 
@@ -163,8 +229,7 @@ impl CoordinationFuture {
     /// Whether a terminal outcome has been set (the future would
     /// resolve on its next poll).
     pub fn is_complete(&self) -> bool {
-        let slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
-        slot.outcome.is_some()
+        self.shared.lock().outcome.is_some()
     }
 
     /// Takes the outcome if the future is complete, without a waker
@@ -172,7 +237,7 @@ impl CoordinationFuture {
     /// [`crate::Ticket`]`.receiver.try_recv()`). Returns `None` while
     /// in flight and after the outcome was already taken.
     pub fn try_take(&mut self) -> Option<CoordinationOutcome> {
-        let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.shared.lock();
         if slot.taken {
             return None;
         }
@@ -206,7 +271,7 @@ impl Future for CoordinationFuture {
     type Output = CoordinationOutcome;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<CoordinationOutcome> {
-        let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.shared.lock();
         // the outcome is delivered exactly once across poll and
         // try_take; re-polling a consumed future is a caller bug (the
         // std Future contract allows panicking here) — never deliver
@@ -227,7 +292,96 @@ impl Future for CoordinationFuture {
     }
 }
 
-/// Wakes a parked thread ([`CoordinationFuture::wait_timeout`]).
+/// The receiving side of a sync [`Ticket`]: a blocking view over the
+/// same completion slot a [`CoordinationFuture`] polls, with the
+/// `std::sync::mpsc::Receiver` vocabulary and error types.
+///
+/// * The answer is received exactly once: `Ok` the first time, then
+///   `Disconnected`.
+/// * `Empty` (or a timeout) while the query is in flight.
+/// * `Disconnected` when the query terminated without an answer for
+///   this handle — cancelled, expired, superseded by a reattach — or
+///   when the coordinator was dropped with the query unresolved.
+///
+/// Every method takes `&self`; the slot's own mutex serializes them.
+#[derive(Debug)]
+pub struct TicketReceiver {
+    shared: Arc<TicketShared>,
+}
+
+impl TicketReceiver {
+    /// Non-blocking receive.
+    pub fn try_recv(&self) -> Result<MatchNotification, TryRecvError> {
+        self.read(None)
+    }
+
+    /// Blocks until the answer arrives or the query terminates without
+    /// one.
+    pub fn recv(&self) -> Result<MatchNotification, RecvError> {
+        self.wait(None).map_err(|_| RecvError)
+    }
+
+    /// Blocks for at most `timeout`.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<MatchNotification, RecvTimeoutError> {
+        // an unrepresentable deadline waits forever, like `recv`
+        let deadline = Instant::now().checked_add(timeout);
+        self.wait(deadline).map_err(|e| match e {
+            TryRecvError::Empty => RecvTimeoutError::Timeout,
+            TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+        })
+    }
+
+    /// Reads the slot; while in flight, parks `waker` (when given)
+    /// under the same lock the completing path takes it out under, so
+    /// a completion either sees the waker or is seen by this read.
+    fn read(&self, waker: Option<&Waker>) -> Result<MatchNotification, TryRecvError> {
+        let mut slot = self.shared.lock();
+        if slot.taken {
+            return Err(TryRecvError::Disconnected);
+        }
+        // a resolved slot is read once: the answer moves out, any
+        // other outcome disconnects
+        match slot.outcome.take() {
+            Some(outcome) => {
+                slot.taken = true;
+                outcome.answered().ok_or(TryRecvError::Disconnected)
+            }
+            // the coordinator's waiter table dropped its side unresolved
+            None if Arc::strong_count(&self.shared) == 1 => Err(TryRecvError::Disconnected),
+            None => {
+                if let Some(waker) = waker {
+                    slot.waker = Some(waker.clone());
+                }
+                Err(TryRecvError::Empty)
+            }
+        }
+    }
+
+    /// Blocks on a thread-parking waker until the slot resolves or
+    /// `deadline` passes (`Err(Empty)`).
+    fn wait(&self, deadline: Option<Instant>) -> Result<MatchNotification, TryRecvError> {
+        let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+        loop {
+            match self.read(Some(&waker)) {
+                Err(TryRecvError::Empty) => {}
+                resolved => return resolved,
+            }
+            match deadline {
+                None => std::thread::park(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(TryRecvError::Empty);
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+            }
+        }
+    }
+}
+
+/// Wakes a parked thread ([`CoordinationFuture::wait_timeout`],
+/// [`TicketReceiver::recv`]).
 struct ThreadWaker(std::thread::Thread);
 
 impl Wake for ThreadWaker {

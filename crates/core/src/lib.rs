@@ -16,22 +16,27 @@
 //!   candidate index;
 //! * [`matcher`] — the incremental group-matching algorithm plus the
 //!   exhaustive baseline, sharing a CSP-style grounding phase;
-//! * [`coordinator`] — the public facade: submit / wait / notify /
-//!   atomic application of matches to the database.
+//! * [`shard`] — the coordinator ([`ShardedCoordinator`]): submit /
+//!   wait / notify / atomic application of matches to the database,
+//!   over one or more shards (one shard is the serial algorithm);
+//! * [`coordinator`] — its configuration, submission outcomes, tickets
+//!   and statistics;
+//! * [`mod@future`] — the completion slot every pending query's handle
+//!   reads, as a [`CoordinationFuture`] or a sync [`Ticket`].
 //!
 //! ## The paper's walkthrough, end to end
 //!
 //! ```
 //! use youtopia_storage::Database;
 //! use youtopia_exec::run_sql;
-//! use youtopia_core::{Coordinator, Submission};
+//! use youtopia_core::{CoordinatorConfig, ShardedCoordinator, Submission};
 //!
 //! let db = Database::new();
 //! run_sql(&db, "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)").unwrap();
 //! run_sql(&db, "INSERT INTO Flights VALUES (122,'Paris'), (123,'Paris'), \
 //!               (134,'Paris'), (136,'Rome')").unwrap();
 //!
-//! let co = Coordinator::new(db);
+//! let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
 //! // Kramer's query waits: nobody satisfies its postcondition yet.
 //! let kramer = co.submit_sql("kramer",
 //!     "SELECT 'Kramer', fno INTO ANSWER Reservation \
@@ -74,12 +79,12 @@ pub use audit::{
 };
 pub use compile::{compile, compile_sql};
 pub use coordinator::{
-    ApplyHook, Coordinator, CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification,
-    MatcherKind, PendingInfo, RecoveryReport, Submission, SystemStats, Ticket,
+    CoordinatorConfig, MatchEdge, MatchGraph, MatchNotification, MatcherKind, PendingInfo,
+    RecoveryReport, Submission, SystemStats, Ticket,
 };
 pub use engine::{CoordEvent, CoordinationLog, RegStamp};
 pub use error::{CoreError, CoreResult};
-pub use future::{CoordinationFuture, CoordinationOutcome, WaiterSet};
+pub use future::{CoordinationFuture, CoordinationOutcome, TicketReceiver, WaiterSet};
 pub use ir::{AnswerConstraint, Atom, EntangledQuery, Filter, Membership, QueryId, Term, Var};
 pub use lifecycle::{
     Clock, DeadlineHost, DeadlineSweeper, MockClock, SubmitOptions, SweepSignal, SystemClock,
@@ -87,6 +92,8 @@ pub use lifecycle::{
 pub use matcher::{GroupMatch, MatchConfig, MatchStats};
 pub use registry::{CandidateScan, HeadRef, Pending, Registry};
 pub use safety::{check_safety, is_self_contained, SafetyMode};
-pub use shard::{BatchOutcome, CheckpointPolicy, ShardedConfig, ShardedCoordinator};
+pub use shard::{
+    BatchOutcome, CheckpointPolicy, ShardedConfig, ShardedCoordinator, SharedApplyHook,
+};
 pub use tenant::{tenant_of, TenantOutcome, TenantQuotas, TenantRegistry, TenantStats};
 pub use unify::Subst;

@@ -24,7 +24,7 @@
 //! position, so a fresh tuple looks up its candidate triggers instead
 //! of the cascade scanning every pending query.
 //!
-//! All value-keyed postings hash constants through [`numeric_key`], so
+//! All value-keyed postings hash constants through `numeric_key`, so
 //! the `Int`/`Float` bridge of unification survives the hash lookup.
 
 use std::borrow::Cow;
@@ -426,7 +426,7 @@ impl Registry {
     /// Candidates come from the constraint postings: per fresh tuple,
     /// the relation's unkeyed constraints plus, for each keyed
     /// position, the constraints posted under that value's
-    /// [`numeric_key`]. Only those queries are unified against the
+    /// `numeric_key`. Only those queries are unified against the
     /// fresh tuples; `checked` counts them.
     pub fn cascade_triggers(&self, fresh: &[(String, Tuple)], checked: &mut u64) -> Vec<QueryId> {
         let mut candidates = BTreeSet::new();

@@ -1,4 +1,21 @@
-//! The sharded, batch-draining coordinator.
+//! The coordinator: Youtopia's coordination component (paper,
+//! Figure 2), partitioned into shards and draining submissions in
+//! batches.
+//!
+//! It owns the pending-query registry, runs the matcher on every
+//! arrival, applies matched groups atomically to the database (answer
+//! tuples are inserted into real answer-relation tables inside one
+//! storage transaction, alongside any application side effects
+//! registered through the apply hook), and notifies waiting submitters
+//! through their futures or tickets — the "Facebook message" of the
+//! demo. **Do not submit while holding a
+//! [`youtopia_storage::ReadTransaction`] on the same database** — the
+//! apply phase needs the write lock and would deadlock with your read
+//! guard.
+//!
+//! With one shard ([`ShardedCoordinator::single`]) this is the paper's
+//! serial algorithm: one matching domain, every arrival matched against
+//! the whole pending registry in submission order.
 //!
 //! # Why sharding is sound
 //!
@@ -67,8 +84,8 @@
 //! pool — one scoped thread per busy shard, capped by
 //! [`ShardedConfig::workers`]. Within one shard the bucket is processed
 //! arrival-by-arrival — insert, match, cascade — which keeps per-shard
-//! semantics *identical* to the serial coordinator under a fixed seed
-//! with randomization disabled (property-tested in
+//! semantics *identical* to one-at-a-time submission on a single shard
+//! under a fixed seed with randomization disabled (property-tested in
 //! `tests/prop_shard_equivalence.rs`). Each shard's RNG is seeded with
 //! `seed ^ shard_id` so `CHOOSE` stays reproducible independent of
 //! drain interleaving, and each matched group still commits through one
@@ -79,7 +96,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::unbounded;
 use parking_lot::{Mutex, MutexGuard};
 
 use youtopia_storage::{Database, StorageResult, Transaction, Tuple, Wal};
@@ -91,8 +107,8 @@ use crate::coordinator::{
     SystemStats, Ticket,
 };
 use crate::engine::{
-    match_graph_of, replay_coordination_frames, Arrival, CoordEvent, CoordinationLog, Engine,
-    RegStamp, ShardState, WaitMode, Waiter,
+    match_graph_of, replay_coordination_frames, CoordEvent, CoordinationLog, Engine, RegStamp,
+    ShardState,
 };
 use crate::error::{CoreError, CoreResult};
 use crate::future::{CoordinationFuture, CoordinationOutcome, TicketShared};
@@ -103,8 +119,10 @@ use crate::registry::Pending;
 use crate::safety::check_safety;
 use crate::tenant::{tenant_of, Admission, TenantOutcome, TenantRegistry};
 
-/// Apply hook shared by every shard (applies can run concurrently on
-/// different shards, hence `Sync` on top of the serial hook's bounds).
+/// Application side effects applied atomically with a match (e.g. the
+/// travel site decrements seat counts and inserts reservation rows),
+/// shared by every shard — applies can run concurrently on different
+/// shards, hence `Send + Sync`.
 pub type SharedApplyHook =
     Arc<dyn Fn(&mut Transaction, &GroupMatch) -> StorageResult<()> + Send + Sync + 'static>;
 
@@ -188,7 +206,7 @@ type Bucket = Vec<(usize, Pending, Option<Admission>)>;
 /// What a drain hands back: per-slot outcomes, the answered log, and
 /// the ids that may still be pending (for placement healing).
 type DrainResult = (
-    Vec<(usize, CoreResult<Arrival>)>,
+    Vec<(usize, CoreResult<CoordinationFuture>)>,
     Vec<QueryId>,
     Vec<QueryId>,
 );
@@ -310,38 +328,46 @@ impl Router {
         roots.sort_unstable();
         roots.dedup();
 
-        // the surviving shard: the component with the most live queries
+        // the surviving root: the component with the most live queries
         // keeps its shard (cheapest migration); ties break toward the
         // lowest shard index for determinism
-        let winner_shard = roots
+        let winner = roots
             .iter()
-            .map(|&r| (std::cmp::Reverse(self.members[r].len()), self.shard[r]))
-            .min()
-            .map(|(_, s)| s)
+            .copied()
+            .min_by_key(|&r| (std::cmp::Reverse(self.members[r].len()), self.shard[r]))
             .expect("at least one root");
+        let winner_shard = self.shard[winner];
 
+        // the losers' migrations are decided before their members fold
+        // into the winner's set, which grows in place: a route costs
+        // O(signature + migrated), never O(component)
         let mut migrations = Vec::new();
-        let mut merged_members = HashSet::new();
         for &r in &roots {
-            if self.shard[r] != winner_shard && !self.members[r].is_empty() {
+            if r == winner {
+                continue;
+            }
+            let members = std::mem::take(&mut self.members[r]);
+            if self.shard[r] != winner_shard && !members.is_empty() {
                 migrations.push(Migration {
                     from: self.shard[r],
                     to: winner_shard,
-                    qids: self.members[r].iter().copied().collect(),
+                    qids: members.iter().copied().collect(),
                 });
             }
-            merged_members.extend(std::mem::take(&mut self.members[r]));
+            self.members[winner].extend(members);
         }
 
-        // union all roots; install the merged membership and the
-        // surviving shard at the final root
+        // union all roots; the merged membership and the surviving
+        // shard move to the final root
         let mut root = roots[0];
         for &r in &roots[1..] {
             root = self.union(root, r);
         }
         self.shard[root] = winner_shard;
-        merged_members.insert(qid);
-        self.members[root] = merged_members;
+        if root != winner {
+            self.members.swap(root, winner);
+        }
+        self.members[root].insert(qid);
         self.qid_node.insert(qid, self.rel_node[first]);
 
         (winner_shard, migrations)
@@ -546,7 +572,8 @@ struct ShardSlot {
 
 /// A shard-lock guard that republishes the shard's monitor counters
 /// when dropped, so the lock-free read paths stay fresh no matter
-/// which code path mutated the shard.
+/// which code path mutated the shard — and only then, still under the
+/// lock, delivers the terminal outcomes the holder decided.
 struct ShardGuard<'a> {
     state: MutexGuard<'a, ShardState>,
     monitor: &'a ShardMonitor,
@@ -568,6 +595,7 @@ impl DerefMut for ShardGuard<'_> {
 impl Drop for ShardGuard<'_> {
     fn drop(&mut self) {
         self.monitor.publish(&self.state);
+        self.state.deliver_resolved();
     }
 }
 
@@ -575,12 +603,14 @@ impl Drop for ShardGuard<'_> {
 // The sharded coordinator
 // ------------------------------------------------------------------ //
 
-/// A coordinator that partitions the pending registry into shards keyed
-/// by answer-relation signature and drains submissions per shard — see
-/// the module docs for the routing rule and locking protocol. The
-/// public surface mirrors [`crate::Coordinator`] plus the batch path,
-/// durable recovery ([`ShardedCoordinator::recover`]) and waiter
-/// reattachment ([`ShardedCoordinator::reattach`]).
+/// The coordination component: partitions the pending registry into
+/// shards keyed by answer-relation signature and drains submissions per
+/// shard — see the module docs for the routing rule and locking
+/// protocol. Besides single and batch submission it offers durable
+/// recovery ([`ShardedCoordinator::recover`]), WAL compaction
+/// ([`ShardedCoordinator::checkpoint`]) and waiter reattachment
+/// ([`ShardedCoordinator::reattach`]). Build it with one shard
+/// ([`ShardedCoordinator::single`]) for the serial algorithm.
 pub struct ShardedCoordinator {
     engine: Engine,
     shards: Vec<ShardSlot>,
@@ -698,6 +728,20 @@ impl ShardedCoordinator {
         ShardedCoordinator::with_config(db, ShardedConfig::default())
     }
 
+    /// A one-shard coordinator: a single matching domain over the whole
+    /// pending registry, i.e. the paper's serial algorithm. Shard 0's
+    /// RNG is seeded with `base.seed ^ 0 = base.seed`.
+    pub fn single(db: Database, base: CoordinatorConfig) -> ShardedCoordinator {
+        ShardedCoordinator::with_config(
+            db,
+            ShardedConfig {
+                shards: 1,
+                base,
+                ..Default::default()
+            },
+        )
+    }
+
     /// The underlying database handle.
     pub fn db(&self) -> &Database {
         &self.engine.db
@@ -788,8 +832,8 @@ impl ShardedCoordinator {
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> CoreResult<Submission> {
-        self.submit_mode(owner, query, opts, WaitMode::Sync)
-            .map(Arrival::into_sync)
+        self.submit_async_with(owner, query, opts)
+            .map(CoordinationFuture::into_submission)
     }
 
     /// Submits one entangled query given as SQL text, returning a
@@ -826,24 +870,14 @@ impl ShardedCoordinator {
     }
 
     /// [`ShardedCoordinator::submit_async`] with per-submission
-    /// options.
+    /// options. Every single submission runs through here; the sync
+    /// entry points convert the returned future.
     pub fn submit_async_with(
         &self,
         owner: &str,
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> CoreResult<CoordinationFuture> {
-        self.submit_mode(owner, query, opts, WaitMode::Async)
-            .map(Arrival::into_async)
-    }
-
-    fn submit_mode(
-        &self,
-        owner: &str,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-        mode: WaitMode,
-    ) -> CoreResult<Arrival> {
         if let Err(e) = check_safety(&query, self.engine.config.safety) {
             self.rejected_unsafe.fetch_add(1, Ordering::Relaxed);
             return Err(e);
@@ -906,12 +940,9 @@ impl ShardedCoordinator {
                     // audit submit row before any terminal row this
                     // arrival could produce
                     self.engine.observe(&event);
-                    let result = self.engine.process_arrival_mode(
-                        &mut state,
-                        pending,
-                        hook_ref(&hook),
-                        mode,
-                    );
+                    let result = self
+                        .engine
+                        .process_arrival(&mut state, pending, hook_ref(&hook));
                     self.engine.flush_audit(&mut state);
                     (result, std::mem::take(&mut state.answered_log))
                 }
@@ -932,7 +963,7 @@ impl ShardedCoordinator {
         self.retire(answered);
         // heal on Err as well: an apply failure reinstates the query as
         // pending, and a concurrent merge may have re-routed it
-        if !matches!(&result, Ok(a) if !a.is_pending()) {
+        if !matches!(&result, Ok(f) if f.answered_on_arrival()) {
             self.heal_placement(shard, &[qid], &hook);
         }
         if opts.deadline.is_some() {
@@ -977,9 +1008,9 @@ impl ShardedCoordinator {
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
     ) -> Vec<BatchOutcome> {
-        self.submit_batch_mode(requests, WaitMode::Sync)
+        self.submit_batch_async_with(requests)
             .into_iter()
-            .map(|r| r.map(Arrival::into_sync))
+            .map(|r| r.map(CoordinationFuture::into_submission))
             .collect()
     }
 
@@ -1014,23 +1045,14 @@ impl ShardedCoordinator {
     }
 
     /// [`ShardedCoordinator::submit_batch_async`] with per-entry
-    /// options.
+    /// options. Every batch submission runs through here; the sync
+    /// entry points convert the returned futures.
     pub fn submit_batch_async_with(
         &self,
         requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
     ) -> Vec<CoreResult<CoordinationFuture>> {
-        self.submit_batch_mode(requests, WaitMode::Async)
-            .into_iter()
-            .map(|r| r.map(Arrival::into_async))
-            .collect()
-    }
-
-    fn submit_batch_mode(
-        &self,
-        requests: Vec<(String, CoreResult<EntangledQuery>, SubmitOptions)>,
-        mode: WaitMode,
-    ) -> Vec<CoreResult<Arrival>> {
-        let mut outcomes: Vec<Option<CoreResult<Arrival>>> = Vec::with_capacity(requests.len());
+        let mut outcomes: Vec<Option<CoreResult<CoordinationFuture>>> =
+            Vec::with_capacity(requests.len());
         outcomes.resize_with(requests.len(), || None);
 
         // Phase 1 (no locks): compile outcomes + safety + tenant
@@ -1121,11 +1143,11 @@ impl ShardedCoordinator {
             .collect();
         let worker_count = self.workers.min(busy.len()).max(1);
 
-        let mut drained: Vec<(usize, CoreResult<Arrival>)> = Vec::new();
+        let mut drained: Vec<(usize, CoreResult<CoordinationFuture>)> = Vec::new();
         let mut answered: Vec<QueryId> = Vec::new();
         let mut still_pending: Vec<(usize, QueryId)> = Vec::new(); // (shard, qid)
         let cursor = AtomicU64::new(0);
-        let worker = |results: &mut Vec<(usize, CoreResult<Arrival>)>,
+        let worker = |results: &mut Vec<(usize, CoreResult<CoordinationFuture>)>,
                       log: &mut Vec<QueryId>,
                       pending_out: &mut Vec<(usize, QueryId)>| {
             loop {
@@ -1137,7 +1159,7 @@ impl ShardedCoordinator {
                     .lock()
                     .drain(..)
                     .collect::<Vec<_>>();
-                let (mut r, mut l, maybe_pending) = self.drain_shard(shard, bucket, &hook, mode);
+                let (mut r, mut l, maybe_pending) = self.drain_shard(shard, bucket, &hook);
                 pending_out.extend(maybe_pending.into_iter().map(|qid| (shard, qid)));
                 results.append(&mut r);
                 log.append(&mut l);
@@ -1213,7 +1235,6 @@ impl ShardedCoordinator {
         shard: usize,
         bucket: Bucket,
         hook: &Option<SharedApplyHook>,
-        mode: WaitMode,
     ) -> DrainResult {
         // Fair tenant interleaving reorders the bucket *before* the log
         // events are built, so the durable registration order equals
@@ -1266,10 +1287,10 @@ impl ShardedCoordinator {
             if let (Some(reg), Some(admission)) = (&tenants, admission) {
                 reg.track(admission, qid);
             }
-            let outcome =
-                self.engine
-                    .process_arrival_mode(&mut state, pending, hook_ref(hook), mode);
-            if !matches!(&outcome, Ok(a) if !a.is_pending()) {
+            let outcome = self
+                .engine
+                .process_arrival(&mut state, pending, hook_ref(hook));
+            if !matches!(&outcome, Ok(f) if f.answered_on_arrival()) {
                 maybe_pending.push(qid);
             }
             results.push((idx, outcome));
@@ -1433,7 +1454,9 @@ impl ShardedCoordinator {
             self.engine.observe(&cancelled);
             if let Some(waiter) = state.waiters.remove(&qid) {
                 // a parked future must resolve, not hang forever
-                waiter.resolve_terminal(CoordinationOutcome::Cancelled);
+                state
+                    .resolved
+                    .push((waiter, CoordinationOutcome::Cancelled));
             }
             state.registry.remove(qid);
         }
@@ -1578,40 +1601,18 @@ impl ShardedCoordinator {
     }
 
     /// Re-issues tickets for `owner`'s still-pending queries after a
-    /// reconnect: waiter channels do not survive a crash (or a dropped
-    /// ticket), but the pending queries themselves do. Any previous
-    /// ticket for the same query stops receiving notifications.
+    /// reconnect: waiters do not survive a crash (or a dropped ticket),
+    /// but the pending queries themselves do. Any previous handle for
+    /// the same query stops receiving notifications. The blocking view
+    /// of [`ShardedCoordinator::reattach_async`].
     pub fn reattach(&self, owner: &str) -> Vec<Ticket> {
-        // gate: see `reattach_gate` — without it two concurrent
-        // reattaches for one owner interleave across shards and both
-        // return live waiters for disjoint subsets
-        let _gate = self.reattach_gate.lock();
-        let mut tickets = Vec::new();
-        for shard in 0..self.shards.len() {
-            let mut state = self.shard_lock(shard);
-            let ids: Vec<QueryId> = state
-                .registry
-                .iter()
-                .filter(|p| p.owner == owner)
-                .map(|p| p.id)
-                .collect();
-            for qid in ids {
-                let (tx, rx) = unbounded();
-                if let Some(old) = state.waiters.insert(qid, Waiter::Channel(tx)) {
-                    old.resolve_terminal(CoordinationOutcome::Superseded);
-                }
-                tickets.push(Ticket {
-                    id: qid,
-                    receiver: rx,
-                });
-            }
-        }
-        tickets.sort_by_key(|t| t.id.0);
-        tickets
+        self.reattach_async(owner)
+            .into_iter()
+            .map(CoordinationFuture::into_ticket)
+            .collect()
     }
 
-    /// [`ShardedCoordinator::reattach`], async flavor: hands the
-    /// reconnecting owner a live [`CoordinationFuture`] per
+    /// Hands the reconnecting owner a live [`CoordinationFuture`] per
     /// still-pending query — including queries restored by
     /// [`ShardedCoordinator::recover`], whose pre-crash waiters died
     /// with the process. The fresh waiter is re-armed under the owning
@@ -1633,11 +1634,8 @@ impl ShardedCoordinator {
                 .collect();
             for qid in ids {
                 let shared = Arc::new(TicketShared::default());
-                if let Some(old) = state
-                    .waiters
-                    .insert(qid, Waiter::Future(Arc::clone(&shared)))
-                {
-                    old.resolve_terminal(CoordinationOutcome::Superseded);
+                if let Some(old) = state.waiters.insert(qid, Arc::clone(&shared)) {
+                    state.resolved.push((old, CoordinationOutcome::Superseded));
                 }
                 futures.push(CoordinationFuture::new(qid, shared));
             }
@@ -1651,9 +1649,10 @@ impl ShardedCoordinator {
     /// re-match sweep). Shards hold disjoint pending sets behind
     /// separate locks, so the sweep fans out across the worker pool —
     /// one task per shard, claimed off a shared cursor — and each
-    /// worker runs the index-first pruned [`Engine::retry_all`] on its
-    /// shard. Results are reassembled in shard order, so notifications
-    /// and error propagation are identical to the serial sweep.
+    /// worker runs the index-first pruned retry sweep on its shard.
+    /// Results are reassembled in shard order, so notifications and
+    /// error propagation are identical to a sweep of one shard at a
+    /// time.
     pub fn retry_all(&self) -> CoreResult<Vec<MatchNotification>> {
         let hook = self.apply_hook.lock().clone();
         let shard_count = self.shards.len();
@@ -1833,8 +1832,9 @@ impl ShardedCoordinator {
     ///    match had not committed before the crash (those matches are
     ///    logged now, like any other).
     ///
-    /// Waiter channels do not survive; reconnecting clients obtain
-    /// fresh tickets through [`ShardedCoordinator::reattach`]. The
+    /// Waiters do not survive; reconnecting clients obtain fresh
+    /// handles through [`ShardedCoordinator::reattach`] or
+    /// [`ShardedCoordinator::reattach_async`]. The
     /// rebuilt coordinator keeps logging to the same WAL.
     ///
     /// The apply hook is `None` during the recovery sweep; use
@@ -2437,6 +2437,189 @@ mod tests {
         assert_eq!(co.pending_count(), 7);
     }
 
+    /// Two equal-size components on different shards, bridged by one
+    /// query: the tie goes to the lower shard index whichever component
+    /// the router saw first, the other component migrates, and the
+    /// merged membership is exactly both components plus the bridge.
+    #[test]
+    fn tied_merge_migrates_the_higher_shard_component() {
+        // (relations born before the pair, lower-shard relation,
+        // higher-shard relation): first the tie winner is the older
+        // node, then a younger node whose shard wrapped around to 0
+        let cases: [(&[&str], &str, &str); 2] = [
+            (&[], "RelA", "RelB"),
+            (&["RelP", "RelQ", "RelR"], "RelT", "RelS"),
+        ];
+        for (born, low, high) in cases {
+            let co = ShardedCoordinator::with_config(
+                flights_db(),
+                ShardedConfig {
+                    shards: 4,
+                    ..Default::default()
+                },
+            );
+            for rel in born {
+                co.submit_sql("w", &pair_sql_on(rel, "W", "Ghost")).unwrap();
+            }
+            let on = |rel: &str| -> Vec<QueryId> {
+                (0..2)
+                    .map(|k| {
+                        co.submit_sql("w", &pair_sql_on(rel, &format!("{rel}{k}"), "Ghost"))
+                            .unwrap()
+                            .id()
+                    })
+                    .collect()
+            };
+            // submit the higher-shard relation's pair first when it was
+            // born first, so neither node order nor arrival order
+            // decides the winner
+            let (mut lows, highs) = if born.is_empty() {
+                (on(low), on(high))
+            } else {
+                let highs = on(high);
+                (on(low), highs)
+            };
+            let (s_low, s_high) = (
+                co.shard_of_relation(low).unwrap(),
+                co.shard_of_relation(high).unwrap(),
+            );
+            assert!(s_low < s_high, "{low} on {s_low}, {high} on {s_high}");
+            let before = co.pending_per_shard()[s_low];
+
+            let bridge = format!(
+                "SELECT 'Z', fno INTO ANSWER {low}, 'Z', fno INTO ANSWER {high} \
+                 WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                 AND ('GhostZ', fno) IN ANSWER {low} CHOOSE 1"
+            );
+            let z = co.submit_sql("z", &bridge).unwrap().id();
+
+            assert_eq!(
+                co.shard_of_relation(low),
+                Some(s_low),
+                "the tie keeps the lower shard"
+            );
+            assert_eq!(
+                co.shard_of_relation(high),
+                Some(s_low),
+                "{high} moved with its component"
+            );
+            assert_eq!(
+                co.pending_per_shard()[s_high],
+                0,
+                "the loser's queries migrated"
+            );
+            assert_eq!(co.pending_per_shard()[s_low], before + 3);
+            lows.extend(highs);
+            lows.push(z);
+            let expected: HashSet<QueryId> = lows.into_iter().collect();
+            {
+                let mut router = co.router.lock();
+                let node = router.rel_node[&low.to_ascii_lowercase()];
+                let root = router.find(node);
+                assert_eq!(router.members[root], expected, "exact merged membership");
+            }
+            co.check_routing_invariants().unwrap();
+        }
+    }
+
+    /// The sync ticket is a view over the future's slot and keeps the
+    /// channel semantics it replaced: the answer once, then a
+    /// disconnect; a disconnect (never an answer) for cancel, expiry
+    /// and supersession; blocking receives that wake on a cross-thread
+    /// completion; and only the newest handle answered after a reattach.
+    #[test]
+    fn ticket_view_behaves_like_a_channel() {
+        use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
+        use std::time::Duration;
+
+        let co = Arc::new(ShardedCoordinator::single(
+            flights_db(),
+            CoordinatorConfig::default(),
+        ));
+        let pend = |owner: &str, me: &str, friend: &str, opts: SubmitOptions| -> Ticket {
+            match co
+                .submit_sql_with(owner, &pair_sql_on("Reservation", me, friend), opts)
+                .unwrap()
+            {
+                Submission::Pending(t) => t,
+                Submission::Answered(_) => panic!("{me} must wait"),
+            }
+        };
+
+        // answered: Ok exactly once, then Disconnected
+        let kramer = pend("kramer", "Kramer", "Jerry", SubmitOptions::default());
+        assert_eq!(kramer.receiver.try_recv(), Err(TryRecvError::Empty));
+        co.submit_sql("jerry", &pair_sql_on("Reservation", "Jerry", "Kramer"))
+            .unwrap();
+        let n = kramer.receiver.try_recv().expect("answered");
+        assert_eq!(n.id, kramer.id);
+        assert_eq!(kramer.receiver.try_recv(), Err(TryRecvError::Disconnected));
+        assert!(kramer.receiver.recv().is_err(), "the answer is taken");
+
+        // cancel, expiry and a superseding async reattach disconnect
+        let cancelled = pend("a", "A", "GhostA", SubmitOptions::default());
+        co.cancel(cancelled.id).unwrap();
+        assert_eq!(
+            cancelled.receiver.try_recv(),
+            Err(TryRecvError::Disconnected)
+        );
+        let expired = pend("b", "B", "GhostB", SubmitOptions::with_deadline(10));
+        assert_eq!(co.expire_due(10), vec![expired.id]);
+        assert_eq!(
+            expired.receiver.recv_timeout(Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        let superseded = pend("c", "C", "GhostC", SubmitOptions::default());
+        let fresh = co.reattach_async("c");
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(
+            superseded.receiver.try_recv(),
+            Err(TryRecvError::Disconnected)
+        );
+
+        // recv_timeout wakes when another thread's submission closes
+        // the pair; in flight it times out
+        let elaine = pend("elaine", "Elaine", "George", SubmitOptions::default());
+        assert_eq!(
+            elaine.receiver.recv_timeout(Duration::from_millis(5)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        let closer = {
+            let co = Arc::clone(&co);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                co.submit_sql("george", &pair_sql_on("Reservation", "George", "Elaine"))
+                    .unwrap()
+            })
+        };
+        let n = elaine
+            .receiver
+            .recv_timeout(Duration::from_secs(10))
+            .expect("woken by the closing arrival");
+        assert_eq!(n.id, elaine.id);
+        assert!(matches!(closer.join().unwrap(), Submission::Answered(_)));
+
+        // after a reattach only the newest handle gets the answer
+        let old = pend("newman", "Newman", "Puddy", SubmitOptions::default());
+        let mut tickets = co.reattach("newman");
+        assert_eq!(tickets.len(), 1);
+        let newest = tickets.pop().unwrap();
+        assert_eq!(newest.id, old.id);
+        co.submit_sql("puddy", &pair_sql_on("Reservation", "Puddy", "Newman"))
+            .unwrap();
+        assert_eq!(old.receiver.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(newest.receiver.try_recv().map(|n| n.id), Ok(old.id));
+
+        // dropping the coordinator with the query in flight disconnects
+        // a blocked receiver, like a dropped channel sender
+        let orphan = pend("d", "D", "GhostD", SubmitOptions::default());
+        let waiter = std::thread::spawn(move || orphan.receiver.recv());
+        std::thread::sleep(Duration::from_millis(20));
+        drop(fresh);
+        drop(co);
+        assert!(waiter.join().unwrap().is_err());
+    }
+
     #[test]
     fn unsafe_queries_are_rejected_and_counted() {
         let co = ShardedCoordinator::new(flights_db());
@@ -2960,5 +3143,611 @@ mod tests {
             .min()
             .unwrap();
         assert_eq!(min, u64::MAX, "no deadline set: sentinel restored");
+    }
+
+    /// The one-shard coordinator: the paper's serial algorithm, one
+    /// matching domain over the whole pending registry.
+    mod single_shard {
+        use std::collections::HashMap;
+
+        use super::*;
+        use crate::coordinator::MatcherKind;
+        use crate::safety::SafetyMode;
+        use youtopia_storage::Value;
+
+        fn pair_sql(me: &str, friend: &str) -> String {
+            pair_sql_on("Reservation", me, friend)
+        }
+
+        fn one_shard() -> ShardedConfig {
+            ShardedConfig {
+                shards: 1,
+                ..Default::default()
+            }
+        }
+
+        #[test]
+        fn paper_walkthrough_end_to_end() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            // Kramer submits; his constraint cannot be satisfied yet.
+            let kramer = co
+                .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let Submission::Pending(ticket) = kramer else {
+                panic!("kramer must wait")
+            };
+            assert_eq!(co.pending_count(), 1);
+
+            // Jerry submits the symmetric query: both answered at once.
+            let jerry = co
+                .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            let Submission::Answered(jn) = jerry else {
+                panic!("jerry completes the group")
+            };
+            let kn = ticket.receiver.try_recv().expect("kramer is notified");
+
+            assert_eq!(jn.group, kn.group);
+            assert_eq!(jn.answers[0].0, "Reservation");
+            let j_fno = &jn.answers[0].1.values()[1];
+            let k_fno = &kn.answers[0].1.values()[1];
+            assert_eq!(j_fno, k_fno);
+            assert!([122i64, 123, 134].contains(&j_fno.as_int().unwrap()));
+
+            // the answer relation now holds both tuples
+            assert_eq!(co.answers("Reservation").len(), 2);
+            assert_eq!(co.pending_count(), 0);
+
+            let stats = co.stats();
+            assert_eq!(stats.submitted, 2);
+            assert_eq!(stats.answered, 2);
+            assert_eq!(stats.groups_matched, 1);
+        }
+
+        #[test]
+        fn unsafe_queries_are_rejected_and_counted() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let err = co
+                .submit_sql("x", "SELECT 'X', v INTO ANSWER R CHOOSE 1")
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Unsafe(_)));
+            assert_eq!(co.stats().rejected_unsafe, 1);
+            assert_eq!(co.pending_count(), 0);
+        }
+
+        #[test]
+        fn strict_mode_rejects_constraint_bound_vars() {
+            let config = CoordinatorConfig {
+                safety: SafetyMode::Strict,
+                ..Default::default()
+            };
+            let co = ShardedCoordinator::single(flights_db(), config);
+            let err = co
+                .submit_sql(
+                    "k",
+                    "SELECT 'K', fno INTO ANSWER R WHERE ('J', fno) IN ANSWER R CHOOSE 1",
+                )
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Unsafe(_)));
+        }
+
+        #[test]
+        fn cancel_removes_pending_query() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let s = co
+                .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let id = s.id();
+            co.cancel(id).unwrap();
+            assert_eq!(co.pending_count(), 0);
+            assert!(matches!(co.cancel(id), Err(CoreError::UnknownQuery(_))));
+            // Jerry now waits forever — no partner
+            let s2 = co
+                .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            assert!(matches!(s2, Submission::Pending(_)));
+        }
+
+        #[test]
+        fn retry_all_matches_after_data_arrives() {
+            let db = Database::new();
+            run_sql(
+                &db,
+                "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING NOT NULL)",
+            )
+            .unwrap();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            // no Paris flights yet: the pair cannot ground
+            let t1 = co
+                .submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let t2 = co
+                .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            assert!(matches!(t1, Submission::Pending(_)));
+            assert!(matches!(t2, Submission::Pending(_)));
+            assert!(co.retry_all().unwrap().is_empty());
+
+            run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
+            let notifications = co.retry_all().unwrap();
+            assert_eq!(notifications.len(), 2);
+            assert_eq!(co.pending_count(), 0);
+        }
+
+        #[test]
+        fn pending_snapshot_shows_sql_and_ir() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let snap = co.pending_snapshot();
+            assert_eq!(snap.len(), 1);
+            assert_eq!(snap[0].owner, "kramer");
+            assert!(snap[0].sql.contains("INTO ANSWER Reservation"));
+            assert!(snap[0].ir.contains("Reservation('Kramer'"));
+        }
+
+        #[test]
+        fn apply_hook_runs_in_the_match_transaction() {
+            let db = flights_db();
+            run_sql(&db, "CREATE TABLE Log (qid INT)").unwrap();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            co.set_apply_hook(Arc::new(|txn, m| {
+                for &qid in &m.members {
+                    txn.insert("Log", Tuple::new(vec![Value::Int(qid.0 as i64)]))?;
+                }
+                Ok(())
+            }));
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            let read = db.read();
+            assert_eq!(read.table("Log").unwrap().len(), 2);
+        }
+
+        #[test]
+        fn failing_hook_reinstates_the_group() {
+            let db = flights_db();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            co.set_apply_hook(Arc::new(|_, _| {
+                Err(youtopia_storage::StorageError::Internal("no seats".into()))
+            }));
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let err = co
+                .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Storage(_)));
+            // both queries are still pending; no answers were written
+            assert_eq!(co.pending_count(), 2);
+            assert!(co.answers("Reservation").is_empty());
+            assert_eq!(co.stats().groups_matched, 0);
+        }
+
+        #[test]
+        fn pre_created_answer_table_is_reused() {
+            let db = flights_db();
+            run_sql(&db, "CREATE TABLE Reservation (traveler STRING, fno INT)").unwrap();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            let read = db.read();
+            let t = read.table("Reservation").unwrap();
+            assert_eq!(t.len(), 2);
+            assert_eq!(t.schema().columns()[0].name, "traveler");
+        }
+
+        #[test]
+        fn naive_matcher_config_works_end_to_end() {
+            let config = CoordinatorConfig {
+                matcher: MatcherKind::Naive,
+                ..Default::default()
+            };
+            let co = ShardedCoordinator::single(flights_db(), config);
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let s = co
+                .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            assert!(matches!(s, Submission::Answered(_)));
+            assert!(co.stats().match_work.subsets_tested > 0);
+        }
+
+        #[test]
+        fn concurrent_submissions_from_threads() {
+            let co = std::sync::Arc::new(ShardedCoordinator::single(
+                flights_db(),
+                CoordinatorConfig::default(),
+            ));
+            let mut handles = Vec::new();
+            for pair in 0..8 {
+                for side in 0..2 {
+                    let co = co.clone();
+                    handles.push(std::thread::spawn(move || {
+                        let (me, friend) = if side == 0 {
+                            (format!("L{pair}"), format!("R{pair}"))
+                        } else {
+                            (format!("R{pair}"), format!("L{pair}"))
+                        };
+                        let sql = format!(
+                            "SELECT '{me}', fno INTO ANSWER Reservation \
+                             WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') \
+                             AND ('{friend}', fno) IN ANSWER Reservation CHOOSE 1"
+                        );
+                        match co.submit_sql(&me, &sql).unwrap() {
+                            Submission::Answered(n) => n,
+                            Submission::Pending(t) => t
+                                .receiver
+                                .recv_timeout(std::time::Duration::from_secs(5))
+                                .unwrap(),
+                        }
+                    }));
+                }
+            }
+            let notifications: Vec<MatchNotification> =
+                handles.into_iter().map(|h| h.join().unwrap()).collect();
+            assert_eq!(notifications.len(), 16);
+            assert_eq!(co.pending_count(), 0);
+            assert_eq!(co.stats().groups_matched, 8);
+            // each pair shares a flight
+            let by_id: HashMap<QueryId, &MatchNotification> =
+                notifications.iter().map(|n| (n.id, n)).collect();
+            for n in &notifications {
+                assert_eq!(n.group.len(), 2);
+                let partner = n.group.iter().find(|&&g| g != n.id).unwrap();
+                let pn = by_id[partner];
+                assert_eq!(n.answers[0].1.values()[1], pn.answers[0].1.values()[1]);
+            }
+        }
+
+        #[test]
+        fn cancel_owner_withdraws_all_of_a_users_requests() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            co.submit_sql("kramer", &pair_sql("Kramer", "Ghost1"))
+                .unwrap();
+            co.submit_sql("kramer", &pair_sql("Kramer", "Ghost2"))
+                .unwrap();
+            co.submit_sql("elaine", &pair_sql("Elaine", "Ghost3"))
+                .unwrap();
+            assert_eq!(co.cancel_owner("kramer"), 2);
+            assert_eq!(co.pending_count(), 1);
+            assert_eq!(co.cancel_owner("kramer"), 0);
+        }
+
+        #[test]
+        fn expire_before_sweeps_old_requests() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            co.submit_sql("a", &pair_sql("A", "GhostA")).unwrap();
+            co.submit_sql("b", &pair_sql("B", "GhostB")).unwrap();
+            let cutoff = co.current_seq(); // == 2
+            co.submit_sql("c", &pair_sql("C", "GhostC")).unwrap();
+            let expired = co.expire_before(cutoff);
+            assert_eq!(expired.len(), 1, "only the first submission predates seq 2");
+            assert_eq!(co.pending_count(), 2);
+            // expiring everything
+            let expired = co.expire_before(u64::MAX);
+            assert_eq!(expired.len(), 2);
+            assert_eq!(co.pending_count(), 0);
+        }
+
+        #[test]
+        fn recover_restores_pending_and_completes_the_pair() {
+            let db = flights_db_wal();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let bytes = db.wal_bytes().unwrap();
+            drop(co); // "kill" the process; only the log survives
+
+            let (co2, report) =
+                ShardedCoordinator::recover(youtopia_storage::Wal::from_bytes(bytes), one_shard())
+                    .unwrap();
+            assert_eq!(report.restored_pending, 1);
+            assert_eq!(co2.pending_count(), 1);
+            let snap = co2.pending_snapshot();
+            assert_eq!(snap[0].owner, "kramer");
+
+            // the reconnecting owner gets a fresh ticket, and the pair
+            // completes exactly as it would have without the crash
+            let tickets = co2.reattach("kramer");
+            assert_eq!(tickets.len(), 1);
+            let jerry = co2
+                .submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            assert!(matches!(jerry, Submission::Answered(_)));
+            tickets[0]
+                .receiver
+                .try_recv()
+                .expect("reattached waiter is notified");
+            assert_eq!(co2.answers("Reservation").len(), 2);
+        }
+
+        #[test]
+        fn recover_drops_matched_and_cancelled_queries() {
+            let db = flights_db_wal();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap(); // matches
+            let c = co.submit_sql("a", &pair_sql("A", "GhostA")).unwrap();
+            co.cancel(c.id()).unwrap();
+            co.submit_sql("b", &pair_sql("B", "GhostB")).unwrap(); // survives
+            co.expire_before(0); // no-op sweep, logs nothing harmful
+            let seq_before = co.current_seq();
+            let bytes = db.wal_bytes().unwrap();
+            drop(co);
+
+            let (co2, report) =
+                ShardedCoordinator::recover(youtopia_storage::Wal::from_bytes(bytes), one_shard())
+                    .unwrap();
+            assert_eq!(report.restored_pending, 1);
+            let snap = co2.pending_snapshot();
+            assert_eq!(snap.len(), 1);
+            assert_eq!(snap[0].owner, "b");
+            // answers from the pre-crash match were replayed from storage
+            assert_eq!(co2.answers("Reservation").len(), 2);
+            // id/seq allocation resumes after the watermark
+            assert_eq!(co2.current_seq(), seq_before);
+            let next = co2.submit_sql("c", &pair_sql("C", "GhostC")).unwrap();
+            assert!(next.id().0 > snap[0].id.0);
+        }
+
+        #[test]
+        fn recover_rematches_logged_but_unmatched_arrivals() {
+            // craft a log whose registrations form a completable pair that
+            // never matched (the crash hit between the registration commits
+            // and the match apply)
+            let db = flights_db_wal();
+            for (qid, owner, friend, seq) in [(1, "Kramer", "Jerry", 1), (2, "Jerry", "Kramer", 2)]
+            {
+                db.append_coordination(
+                    &CoordEvent::QueryRegistered {
+                        owner: owner.to_lowercase(),
+                        sql: pair_sql(owner, friend),
+                        qid: QueryId(qid),
+                        seq,
+                        deadline: None,
+                        stamp: None,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            }
+            let bytes = db.wal_bytes().unwrap();
+            drop(db);
+
+            let (co, report) =
+                ShardedCoordinator::recover(youtopia_storage::Wal::from_bytes(bytes), one_shard())
+                    .unwrap();
+            assert_eq!(report.restored_pending, 2);
+            assert_eq!(report.rematched_groups, 1, "the sweep completes the pair");
+            assert_eq!(co.pending_count(), 0);
+            assert_eq!(co.answers("Reservation").len(), 2);
+        }
+
+        #[test]
+        fn async_pair_resolves_both_futures() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let mut kramer = co
+                .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            assert!(!kramer.is_complete());
+            assert!(kramer.try_take().is_none(), "in flight: nothing to take");
+            let mut jerry = co
+                .submit_sql_async("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            // jerry completed the group on arrival; kramer's waker fired
+            let jn = jerry.try_take().unwrap().answered().expect("answered");
+            let kn = kramer.try_take().unwrap().answered().expect("answered");
+            assert_eq!(jn.group, kn.group);
+            assert_eq!(
+                jn.answers[0].1.values()[1],
+                kn.answers[0].1.values()[1],
+                "coordinated pair shares its flight"
+            );
+            assert_eq!(co.pending_count(), 0);
+        }
+
+        /// Regression (async-submission PR, satellite 1): `cancel` on a
+        /// query with a parked future waiter must wake it with the terminal
+        /// `Cancelled` outcome — not leave the future pending forever.
+        #[test]
+        fn cancel_wakes_parked_future_with_cancelled() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let mut f = co
+                .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            co.cancel(f.id()).unwrap();
+            assert_eq!(
+                f.wait_timeout(std::time::Duration::from_secs(5)),
+                Some(crate::future::CoordinationOutcome::Cancelled),
+                "cancel must resolve the parked future"
+            );
+            // cancel_owner takes the same path
+            let mut g = co
+                .submit_sql_async("elaine", &pair_sql("Elaine", "Ghost"))
+                .unwrap();
+            assert_eq!(co.cancel_owner("elaine"), 1);
+            assert_eq!(
+                g.try_take(),
+                Some(crate::future::CoordinationOutcome::Cancelled)
+            );
+        }
+
+        /// Regression (async-submission PR, satellite 1): `expire_before`
+        /// must wake a parked future waiter with `Expired`.
+        #[test]
+        fn expire_wakes_parked_future_with_expired() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let mut f = co.submit_sql_async("a", &pair_sql("A", "GhostA")).unwrap();
+            let expired = co.expire_before(u64::MAX);
+            assert_eq!(expired, vec![f.id()]);
+            assert_eq!(
+                f.wait_timeout(std::time::Duration::from_secs(5)),
+                Some(crate::future::CoordinationOutcome::Expired),
+                "expiry must resolve the parked future"
+            );
+        }
+
+        #[test]
+        fn reattach_supersedes_previous_future() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let mut old = co
+                .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            let mut fresh = co.reattach_async("kramer");
+            assert_eq!(fresh.len(), 1);
+            assert_eq!(
+                old.try_take(),
+                Some(crate::future::CoordinationOutcome::Superseded),
+                "the replaced handle resolves instead of hanging"
+            );
+            // the fresh future receives the answer
+            co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            let outcome = fresh[0].try_take().unwrap();
+            assert!(outcome.answered().is_some());
+            // a sync reattach supersedes an async handle too
+            let mut h = co.submit_sql_async("b", &pair_sql("B", "GhostB")).unwrap();
+            let tickets = co.reattach("b");
+            assert_eq!(tickets.len(), 1);
+            assert_eq!(
+                h.try_take(),
+                Some(crate::future::CoordinationOutcome::Superseded)
+            );
+        }
+
+        #[test]
+        fn recover_then_reattach_async_resumes_the_future() {
+            let db = flights_db_wal();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            let f = co
+                .submit_sql_async("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            assert!(!f.is_complete());
+            let bytes = db.wal_bytes().unwrap();
+            drop(f); // the front-end dies with its futures
+            drop(co);
+
+            let (co2, report) =
+                ShardedCoordinator::recover(youtopia_storage::Wal::from_bytes(bytes), one_shard())
+                    .unwrap();
+            assert_eq!(report.restored_pending, 1);
+            let mut futures = co2.reattach_async("kramer");
+            assert_eq!(futures.len(), 1);
+            co2.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            let outcome = futures[0]
+                .wait_timeout(std::time::Duration::from_secs(5))
+                .expect("reattached future resolves");
+            assert!(outcome.answered().is_some());
+        }
+
+        /// Deadline-lifecycle PR: `expire_due` retires exactly the pending
+        /// queries whose deadline has passed, resolves their futures with
+        /// `Expired`, and leaves deadline-less queries alone.
+        #[test]
+        fn expire_due_sweeps_past_deadlines_only() {
+            use crate::lifecycle::SubmitOptions;
+
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            let mut early = co
+                .submit_sql_async_with(
+                    "a",
+                    &pair_sql("A", "GhostA"),
+                    SubmitOptions::with_deadline(100),
+                )
+                .unwrap();
+            co.submit_sql_with(
+                "b",
+                &pair_sql("B", "GhostB"),
+                SubmitOptions::with_deadline(200),
+            )
+            .unwrap();
+            co.submit_sql("c", &pair_sql("C", "GhostC")).unwrap();
+            assert_eq!(co.next_deadline(), Some(100));
+
+            assert!(co.expire_due(99).is_empty(), "nothing due yet");
+            let expired = co.expire_due(150);
+            assert_eq!(expired, vec![early.id()]);
+            assert_eq!(
+                early.try_take(),
+                Some(crate::future::CoordinationOutcome::Expired)
+            );
+            assert_eq!(co.next_deadline(), Some(200));
+            assert_eq!(co.expire_due(1_000).len(), 1);
+            assert_eq!(co.pending_count(), 1, "deadline-less query survives");
+            assert_eq!(co.next_deadline(), None);
+            assert_eq!(co.stats().expired, 2);
+        }
+
+        /// A deadline logged at submission survives kill + recover, and a
+        /// deadline already past due at recovery time is expired before
+        /// any client can reattach to it.
+        #[test]
+        fn recovery_restores_and_enforces_deadlines() {
+            use crate::lifecycle::{MockClock, SubmitOptions};
+
+            let db = flights_db_wal();
+            let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
+            co.submit_sql_with(
+                "a",
+                &pair_sql("A", "GhostA"),
+                SubmitOptions::with_deadline(100),
+            )
+            .unwrap();
+            co.submit_sql_with(
+                "b",
+                &pair_sql("B", "GhostB"),
+                SubmitOptions::with_deadline(5_000),
+            )
+            .unwrap();
+            let bytes = db.wal_bytes().unwrap();
+            drop(co);
+
+            // recover "at" t=900: a's deadline (100) lapsed while down
+            let clock = Arc::new(MockClock::new(900));
+            let (co2, report) = ShardedCoordinator::recover_with(
+                youtopia_storage::Wal::from_bytes(bytes),
+                one_shard(),
+                None,
+                clock.clone(),
+            )
+            .unwrap();
+            assert_eq!(report.restored_pending, 2);
+            assert_eq!(report.expired_at_recovery, 1);
+            let snap = co2.pending_snapshot();
+            assert_eq!(snap.len(), 1);
+            assert_eq!(snap[0].owner, "b");
+            assert_eq!(snap[0].deadline, Some(5_000), "deadline rebuilt from log");
+            // the recovery-time expiry was logged: a second recovery agrees
+            let bytes2 = co2.db().wal_bytes().unwrap();
+            drop(co2);
+            let (co3, report3) = ShardedCoordinator::recover_with(
+                youtopia_storage::Wal::from_bytes(bytes2),
+                one_shard(),
+                None,
+                clock.clone(),
+            )
+            .unwrap();
+            assert_eq!(report3.restored_pending, 1);
+            assert_eq!(report3.expired_at_recovery, 0);
+            assert_eq!(co3.pending_count(), 1);
+        }
+
+        #[test]
+        fn matching_time_is_recorded() {
+            let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
+            co.submit_sql("kramer", &pair_sql("Kramer", "Jerry"))
+                .unwrap();
+            co.submit_sql("jerry", &pair_sql("Jerry", "Kramer"))
+                .unwrap();
+            let stats = co.stats();
+            assert!(stats.matching_nanos > 0);
+            assert_eq!(stats.match_attempts, 2);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! group-size boundary behaviour.
 
 use youtopia_core::{
-    Coordinator, CoordinatorConfig, CoreError, MatchConfig, MatcherKind, Submission,
+    CoordinatorConfig, CoreError, MatchConfig, MatcherKind, ShardedCoordinator, Submission,
 };
 use youtopia_exec::run_sql;
 use youtopia_storage::{Database, Value};
@@ -28,7 +28,7 @@ fn flights_db() -> Database {
 fn a_query_can_satisfy_its_own_constraint() {
     // The constraint names the submitter itself: a singleton group where
     // the query's own head satisfies its postcondition.
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let sub = co
         .submit_sql(
             "a",
@@ -45,7 +45,7 @@ fn a_query_can_satisfy_its_own_constraint() {
 fn variable_partner_name_matches_anyone() {
     // "I'll take whatever flight anyone else books" — the partner name
     // position is a variable; unification binds it to Jerry.
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     co.submit_sql(
         "jerry",
         "SELECT 'Jerry', fno INTO ANSWER R \
@@ -58,7 +58,7 @@ fn variable_partner_name_matches_anyone() {
     // waiting variant instead: whoever arrives next coordinates.
     assert_eq!(co.pending_count(), 0);
 
-    let co2 = Coordinator::new(flights_db());
+    let co2 = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     // the follower has no membership; it rides on the leader's choice
     let follower = co2
         .submit_sql(
@@ -103,7 +103,7 @@ fn variable_partner_name_matches_anyone() {
 fn filter_on_unified_variables_prunes_partners() {
     // "a different flight than my rival": negative correlation through
     // a filter over both queries' variables.
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     co.submit_sql(
         "a",
         "SELECT 'A', fno INTO ANSWER R \
@@ -148,7 +148,7 @@ fn filter_on_unified_variables_prunes_partners() {
 
 #[test]
 fn arity_mismatch_on_the_same_relation_never_unifies() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     co.submit_sql(
         "two",
         "SELECT 'T', fno INTO ANSWER R \
@@ -172,7 +172,7 @@ fn arity_mismatch_on_the_same_relation_never_unifies() {
 
 #[test]
 fn membership_subquery_errors_surface_cleanly() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     // unknown table inside the membership: compile succeeds (the parser
     // cannot know), matching surfaces the executor error
     let err = co
@@ -187,7 +187,7 @@ fn membership_subquery_errors_surface_cleanly() {
 
 #[test]
 fn membership_arity_mismatch_is_reported() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let err = co
         .submit_sql(
             "a",
@@ -203,7 +203,7 @@ fn membership_arity_mismatch_is_reported() {
 
 #[test]
 fn cancelled_query_cannot_be_matched_later() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let pair = |me: &str, friend: &str| {
         format!(
             "SELECT '{me}', fno INTO ANSWER R \
@@ -231,7 +231,7 @@ fn group_size_exactly_at_the_bound_matches() {
         },
         ..Default::default()
     };
-    let co = Coordinator::with_config(db, config);
+    let co = ShardedCoordinator::single(db, config);
     let names = ["A", "B", "C"];
     for (i, me) in names.iter().enumerate() {
         let next = names[(i + 1) % 3];
@@ -259,7 +259,7 @@ fn duplicate_queries_all_complete_via_cascade() {
     // Two copies of A's request wait; B's arrival matches one copy
     // live, and the cascade answers the second copy against the
     // committed ('B', f) tuple — everyone ends up coordinated.
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let pair = |me: &str, friend: &str| {
         format!(
             "SELECT '{me}', fno INTO ANSWER R \
@@ -290,7 +290,7 @@ fn duplicate_queries_pair_disjointly_without_committed_matching() {
         },
         ..Default::default()
     };
-    let co = Coordinator::with_config(flights_db(), config);
+    let co = ShardedCoordinator::single(flights_db(), config);
     let pair = |me: &str, friend: &str| {
         format!(
             "SELECT '{me}', fno INTO ANSWER R \
@@ -314,7 +314,7 @@ fn committed_answers_satisfy_later_constraints_directly() {
     // Kramer books first (self-contained); Jerry's later "same flight
     // as Kramer" request is answered immediately against Kramer's
     // committed reservation — the paper's first demo flow.
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let kramer = co
         .submit_sql(
             "kramer",
@@ -346,7 +346,7 @@ fn cascade_chains_through_multiple_rounds() {
     // leader's single submission must unlock both, transitively, in one
     // cascade: leader commits -> follower1 matches committed tuple ->
     // follower1 commits -> follower2 matches.
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let f2 = co
         .submit_sql(
             "f2",
@@ -399,7 +399,7 @@ fn cascade_chains_through_multiple_rounds() {
 
 #[test]
 fn negative_constraints_see_committed_answers() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     // A books flight 1 directly
     co.submit_sql(
         "a",
@@ -431,7 +431,7 @@ fn empty_database_leaves_everything_pending_then_retry_matches() {
         "CREATE TABLE Flights (fno INT PRIMARY KEY, dest STRING)",
     )
     .unwrap();
-    let co = Coordinator::new(db.clone());
+    let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
     let pair = |me: &str, friend: &str| {
         format!(
             "SELECT '{me}', fno INTO ANSWER R \
@@ -452,7 +452,7 @@ fn empty_database_leaves_everything_pending_then_retry_matches() {
 
 #[test]
 fn answer_relation_name_is_case_insensitive_for_matching() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     co.submit_sql(
         "a",
         "SELECT 'A', fno INTO ANSWER Reservation \
@@ -473,7 +473,7 @@ fn answer_relation_name_is_case_insensitive_for_matching() {
 
 #[test]
 fn stats_survive_failed_and_successful_submissions() {
-    let co = Coordinator::new(flights_db());
+    let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
     let _ = co.submit_sql("x", "SELECT 'X', v INTO ANSWER R CHOOSE 1"); // unsafe
     co.submit_sql(
         "solo",
@@ -494,7 +494,7 @@ fn int_and_float_constants_coordinate_under_both_matchers() {
     // candidate index must find that head too, not only the naive
     // matcher's full relation scan.
     for matcher in [MatcherKind::Naive, MatcherKind::Incremental] {
-        let co = Coordinator::with_config(
+        let co = ShardedCoordinator::single(
             flights_db(),
             CoordinatorConfig {
                 matcher,

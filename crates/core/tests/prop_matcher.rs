@@ -427,9 +427,9 @@ proptest! {
         scenario in arb_scenario(),
         seed in 0u64..50,
     ) {
-        use youtopia_core::{Coordinator, CoordinatorConfig};
+        use youtopia_core::{ShardedCoordinator, CoordinatorConfig};
 
-        let co = Coordinator::with_config(
+        let co = ShardedCoordinator::single(
             scenario_db(),
             CoordinatorConfig { seed, ..Default::default() },
         );
@@ -451,9 +451,9 @@ proptest! {
     /// coordinated pair of answers shares its flight.
     #[test]
     fn accounting_invariants_hold(scenario in arb_scenario(), seed in 0u64..50) {
-        use youtopia_core::{Coordinator, CoordinatorConfig};
+        use youtopia_core::{ShardedCoordinator, CoordinatorConfig};
 
-        let co = Coordinator::with_config(
+        let co = ShardedCoordinator::single(
             scenario_db(),
             CoordinatorConfig { seed, ..Default::default() },
         );
@@ -634,7 +634,7 @@ fn run_chain(
     seed: u64,
     use_const_index: bool,
 ) -> (ChainOutcome, u64) {
-    use youtopia_core::{Coordinator, CoordinatorConfig, Submission};
+    use youtopia_core::{CoordinatorConfig, ShardedCoordinator, Submission};
 
     let mut config = CoordinatorConfig {
         seed,
@@ -642,7 +642,7 @@ fn run_chain(
         ..Default::default()
     };
     config.match_config.randomize = false;
-    let co = Coordinator::with_config(scenario_db(), config);
+    let co = ShardedCoordinator::single(scenario_db(), config);
     let mut notes = Vec::new();
     let mut tickets = Vec::new();
     let mut record = |sub: Submission| match sub {

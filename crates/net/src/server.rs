@@ -3,7 +3,7 @@
 //! One thread owns everything: the listening socket, every connection,
 //! the [`WaiterSet`] driving every in-flight session future, and the
 //! timer heap that reaps idle connections. Sockets are nonblocking and
-//! epoll-registered (via the [`crate::poller`] wrapper over the
+//! epoll-registered (via the `poller` module's wrapper over the
 //! vendored syscall shim); the reactor sleeps in `epoll_wait` until a
 //! socket is ready, a timer is due, or a completion lands — the
 //! coordinator's completion signal is bridged into the epoll wait

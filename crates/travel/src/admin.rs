@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use youtopia_core::{
-    latency_histogram, Coordinator, CoreError, RecoveryReport, Submission, AUDIT_TABLE,
+    latency_histogram, CoreError, RecoveryReport, ShardedCoordinator, Submission, AUDIT_TABLE,
 };
 use youtopia_exec::{run_statement, ExecError, ResultSet, StatementOutcome};
 use youtopia_sql::{parse_statement, Statement};
@@ -16,13 +16,13 @@ use youtopia_storage::Database;
 /// The admin console: wraps a database and its coordinator.
 pub struct AdminConsole {
     db: Database,
-    coordinator: Arc<Coordinator>,
+    coordinator: Arc<ShardedCoordinator>,
     recovery: Mutex<Option<RecoveryReport>>,
 }
 
 impl AdminConsole {
     /// Builds a console over an existing stack.
-    pub fn new(db: Database, coordinator: Arc<Coordinator>) -> AdminConsole {
+    pub fn new(db: Database, coordinator: Arc<ShardedCoordinator>) -> AdminConsole {
         AdminConsole {
             db,
             coordinator,
@@ -541,7 +541,7 @@ mod tests {
             audit: AuditConfig::enabled(),
             ..CoordinatorConfig::default()
         };
-        let co = Arc::new(Coordinator::with_config(s.db().clone(), config));
+        let co = Arc::new(ShardedCoordinator::single(s.db().clone(), config));
         let console = AdminConsole::new(s.db().clone(), co);
         (s, console)
     }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use youtopia_core::{
-    Coordinator, CoordinatorConfig, GroupMatch, MatchNotification, QueryId, RecoveryReport,
-    Submission, Ticket,
+    CoordinatorConfig, GroupMatch, MatchNotification, QueryId, RecoveryReport, ShardedConfig,
+    ShardedCoordinator, Submission, Ticket,
 };
 use youtopia_exec::{run_sql, StatementOutcome};
 use youtopia_storage::{Database, StorageError, Tuple, Value, Wal};
@@ -67,7 +67,7 @@ pub struct AccountView {
 /// The travel web site's middle tier.
 pub struct TravelService {
     db: Database,
-    coordinator: Arc<Coordinator>,
+    coordinator: Arc<ShardedCoordinator>,
     social: SocialGraph,
     notifier: Arc<Notifier>,
     /// Tickets of pending submissions, polled by `deliver_ready`.
@@ -86,8 +86,11 @@ impl TravelService {
 
     /// Wraps an existing database that already has the travel schema.
     pub fn over(db: Database) -> TravelResult<TravelService> {
-        let coordinator = Arc::new(Coordinator::new(db.clone()));
-        coordinator.set_apply_hook(Box::new(inventory_hook));
+        let coordinator = Arc::new(ShardedCoordinator::single(
+            db.clone(),
+            CoordinatorConfig::default(),
+        ));
+        coordinator.set_apply_hook(Arc::new(inventory_hook));
         Ok(TravelService {
             social: SocialGraph::new(db.clone()),
             db,
@@ -108,8 +111,13 @@ impl TravelService {
         wal: Wal,
         config: CoordinatorConfig,
     ) -> TravelResult<(TravelService, RecoveryReport)> {
+        let config = ShardedConfig {
+            shards: 1,
+            base: config,
+            ..Default::default()
+        };
         let (coordinator, report) =
-            Coordinator::recover_with_hook(wal, config, Some(Box::new(inventory_hook)))?;
+            ShardedCoordinator::recover_with_hook(wal, config, Some(Arc::new(inventory_hook)))?;
         let db = coordinator.db().clone();
         let service = TravelService {
             social: SocialGraph::new(db.clone()),
@@ -132,7 +140,7 @@ impl TravelService {
     }
 
     /// The coordination component (for the admin interface).
-    pub fn coordinator(&self) -> &Arc<Coordinator> {
+    pub fn coordinator(&self) -> &Arc<ShardedCoordinator> {
         &self.coordinator
     }
 

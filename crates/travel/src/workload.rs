@@ -577,7 +577,8 @@ pub struct AsyncDriveReport {
 }
 
 /// Submits `requests` asynchronously in batches of `batch_size`,
-/// holding every pending coordination as a [`CoordinationFuture`] in
+/// holding every pending coordination as a
+/// [`CoordinationFuture`](youtopia_core::CoordinationFuture) in
 /// one [`WaiterSet`] — no thread ever blocks per waiter, so one driver
 /// thread sustains thousands of in-flight coordinations. Completions
 /// are harvested (non-blocking) between batches and once more at the

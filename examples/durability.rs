@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example durability`
 
 use youtopia::storage::Wal;
-use youtopia::{run_sql, Coordinator, Database, StatementOutcome};
+use youtopia::{run_sql, CoordinatorConfig, Database, ShardedCoordinator, StatementOutcome};
 
 fn main() {
     let dir = std::env::temp_dir().join("youtopia_durability_demo");
@@ -45,7 +45,7 @@ fn main() {
         }
         run_sql(&db, "UPDATE Flights SET dest = 'Rome' WHERE fno = 136").unwrap();
 
-        let co = Coordinator::new(db);
+        let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
         co.submit_sql(
             "kramer",
             "SELECT 'Kramer', fno INTO ANSWER Reservation \

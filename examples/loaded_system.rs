@@ -15,9 +15,7 @@ use std::time::Instant;
 
 use youtopia::core::MatchConfig;
 use youtopia::travel::{drive_batched, WorkloadGen};
-use youtopia::{
-    Coordinator, CoordinatorConfig, MatcherKind, ShardedConfig, ShardedCoordinator, Submission,
-};
+use youtopia::{CoordinatorConfig, MatcherKind, ShardedConfig, ShardedCoordinator, Submission};
 
 fn measure(matcher: MatcherKind, noise: usize, trials: usize) -> (f64, u64) {
     let mut gen = WorkloadGen::new(42);
@@ -36,7 +34,7 @@ fn measure(matcher: MatcherKind, noise: usize, trials: usize) -> (f64, u64) {
         },
         ..CoordinatorConfig::default()
     };
-    let coordinator = Coordinator::with_config(db, config);
+    let coordinator = ShardedCoordinator::single(db, config);
 
     // standing load: `noise` pending queries that never match
     for r in gen.noise(noise, "Paris") {

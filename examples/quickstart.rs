@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use youtopia::{run_sql, Coordinator, Database, StatementOutcome, Submission};
+use youtopia::{
+    run_sql, CoordinatorConfig, Database, ShardedCoordinator, StatementOutcome, Submission,
+};
 
 fn main() {
     // ---- the Figure 1 database -------------------------------------- //
@@ -36,7 +38,7 @@ fn main() {
     }
 
     // ---- the coordination component --------------------------------- //
-    let coordinator = Coordinator::new(db);
+    let coordinator = ShardedCoordinator::single(db, CoordinatorConfig::default());
 
     // Kramer's entangled query, verbatim from the paper.
     let kramer_sql = "SELECT 'Kramer', fno INTO ANSWER Reservation \

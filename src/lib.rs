@@ -36,11 +36,11 @@ pub use youtopia_travel as travel;
 
 pub use youtopia_core::{
     compile_sql, latency_histogram, tenant_audit, AuditConfig, AuditRecord, CheckpointPolicy,
-    Clock, CoordEvent, CoordinationFuture, CoordinationLog, CoordinationOutcome, Coordinator,
-    CoordinatorConfig, DeadlineHost, DeadlineSweeper, GroupMatch, LatencyBucket, MatchNotification,
-    MatcherKind, MockClock, QueryId, RecoveryReport, RegStamp, SafetyMode, ShardedConfig,
-    ShardedCoordinator, Submission, SubmitOptions, SystemClock, TenantQuotas, TenantRegistry,
-    WaiterSet, AUDIT_TABLE, LATENCY_TABLE,
+    Clock, CoordEvent, CoordinationFuture, CoordinationLog, CoordinationOutcome, CoordinatorConfig,
+    DeadlineHost, DeadlineSweeper, GroupMatch, LatencyBucket, MatchNotification, MatcherKind,
+    MockClock, QueryId, RecoveryReport, RegStamp, SafetyMode, ShardedConfig, ShardedCoordinator,
+    Submission, SubmitOptions, SystemClock, TenantQuotas, TenantRegistry, WaiterSet, AUDIT_TABLE,
+    LATENCY_TABLE,
 };
 pub use youtopia_exec::{run_sql, StatementOutcome};
 pub use youtopia_net::{NetClient, NetServer, ServerConfig, ServerStats};

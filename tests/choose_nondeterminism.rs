@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use youtopia::{run_sql, Coordinator, CoordinatorConfig, Database};
+use youtopia::{run_sql, CoordinatorConfig, Database, ShardedCoordinator};
 
 fn db_with_paris_flights(n: i64) -> Database {
     let db = Database::new();
@@ -25,7 +25,7 @@ fn db_with_paris_flights(n: i64) -> Database {
 }
 
 fn coordinated_choice(seed: u64, n: i64) -> i64 {
-    let co = Coordinator::with_config(
+    let co = ShardedCoordinator::single(
         db_with_paris_flights(n),
         CoordinatorConfig {
             seed,
@@ -91,7 +91,7 @@ fn same_seed_is_reproducible() {
 fn singleton_choice_is_also_nondeterministic() {
     let mut seen = std::collections::HashSet::new();
     for seed in 0..64 {
-        let co = Coordinator::with_config(
+        let co = ShardedCoordinator::single(
             db_with_paris_flights(6),
             CoordinatorConfig {
                 seed,
@@ -128,7 +128,7 @@ fn randomize_off_is_deterministic_across_seeds() {
             },
             ..Default::default()
         };
-        let co = Coordinator::with_config(db_with_paris_flights(6), config);
+        let co = ShardedCoordinator::single(db_with_paris_flights(6), config);
         let n = co
             .submit_sql(
                 "solo",

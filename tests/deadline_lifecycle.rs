@@ -11,8 +11,8 @@ use std::time::Duration;
 use youtopia::core::SubmitOptions;
 use youtopia::storage::Wal;
 use youtopia::{
-    run_sql, CoordinationOutcome, Coordinator, Database, DeadlineSweeper, MockClock, ShardedConfig,
-    ShardedCoordinator, Submission,
+    run_sql, CoordinationOutcome, CoordinatorConfig, Database, DeadlineSweeper, MockClock,
+    ShardedConfig, ShardedCoordinator, Submission,
 };
 
 fn flights_db() -> Database {
@@ -55,7 +55,10 @@ fn pair_sql_on(rel: &str, me: &str, friend: &str) -> String {
 #[test]
 fn sweeper_expires_future_on_mock_clock_serial() {
     let clock = Arc::new(MockClock::new(0));
-    let co = Arc::new(Coordinator::new(flights_db()));
+    let co = Arc::new(ShardedCoordinator::single(
+        flights_db(),
+        CoordinatorConfig::default(),
+    ));
     let sweeper = DeadlineSweeper::spawn(co.clone(), clock.clone());
 
     let mut f = co
@@ -201,7 +204,7 @@ where
 #[test]
 fn expiry_racing_match_delivers_one_outcome_to_future() {
     for round in 0..20u64 {
-        let co = Coordinator::new(flights_db());
+        let co = ShardedCoordinator::single(flights_db(), CoordinatorConfig::default());
         race_future_once(
             || {
                 co.submit_sql_async_with(

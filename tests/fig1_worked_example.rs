@@ -4,7 +4,9 @@
 //! Rome's 136; both users receive the same flight number; the answer
 //! relation satisfies both postconditions.
 
-use youtopia::{run_sql, Coordinator, Database, StatementOutcome, Submission};
+use youtopia::{
+    run_sql, CoordinatorConfig, Database, ShardedCoordinator, StatementOutcome, Submission,
+};
 
 fn fig1_database() -> Database {
     let db = Database::new();
@@ -31,7 +33,7 @@ const JERRY: &str = "SELECT 'Jerry', fno INTO ANSWER Reservation \
 
 #[test]
 fn kramer_alone_is_registered_not_rejected() {
-    let co = Coordinator::new(fig1_database());
+    let co = ShardedCoordinator::single(fig1_database(), CoordinatorConfig::default());
     // "Clearly, if this query is evaluated by itself, the answer
     //  constraint cannot be satisfied. However, the query is not
     //  rejected, but rather gets registered in the system."
@@ -43,7 +45,7 @@ fn kramer_alone_is_registered_not_rejected() {
 
 #[test]
 fn symmetric_queries_answer_jointly_with_shared_fno() {
-    let co = Coordinator::new(fig1_database());
+    let co = ShardedCoordinator::single(fig1_database(), CoordinatorConfig::default());
     let Submission::Pending(kramer_ticket) = co.submit_sql("kramer", KRAMER).unwrap() else {
         panic!("kramer waits");
     };
@@ -65,7 +67,7 @@ fn symmetric_queries_answer_jointly_with_shared_fno() {
 
 #[test]
 fn figure_1b_mutual_constraint_satisfaction_in_the_answer_relation() {
-    let co = Coordinator::new(fig1_database());
+    let co = ShardedCoordinator::single(fig1_database(), CoordinatorConfig::default());
     co.submit_sql("kramer", KRAMER).unwrap();
     co.submit_sql("jerry", JERRY).unwrap();
 
@@ -88,7 +90,7 @@ fn figure_1b_mutual_constraint_satisfaction_in_the_answer_relation() {
 fn each_query_receives_exactly_one_answer_tuple() {
     // "each query only receives one answer tuple, as indicated by the
     //  CHOOSE 1 clause"
-    let co = Coordinator::new(fig1_database());
+    let co = ShardedCoordinator::single(fig1_database(), CoordinatorConfig::default());
     co.submit_sql("kramer", KRAMER).unwrap();
     let jerry = co.submit_sql("jerry", JERRY).unwrap().answered().unwrap();
     assert_eq!(jerry.answers.len(), 1);
@@ -97,7 +99,7 @@ fn each_query_receives_exactly_one_answer_tuple() {
 
 #[test]
 fn the_answer_relation_is_queryable_with_plain_sql() {
-    let co = Coordinator::new(fig1_database());
+    let co = ShardedCoordinator::single(fig1_database(), CoordinatorConfig::default());
     co.submit_sql("kramer", KRAMER).unwrap();
     co.submit_sql("jerry", JERRY).unwrap();
     let StatementOutcome::Rows(rs) = run_sql(
@@ -122,7 +124,7 @@ fn nondeterministic_choice_covers_multiple_flights() {
             seed,
             ..Default::default()
         };
-        let co = Coordinator::with_config(fig1_database(), config);
+        let co = ShardedCoordinator::single(fig1_database(), config);
         co.submit_sql("kramer", KRAMER).unwrap();
         let jerry = co.submit_sql("jerry", JERRY).unwrap().answered().unwrap();
         let fno = jerry.answers[0].1.values()[1].as_int().unwrap();

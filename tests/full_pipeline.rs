@@ -4,7 +4,7 @@
 //! Figure 2 architecture path.
 
 use youtopia::travel::{AdminConsole, TravelService};
-use youtopia::{run_sql, Coordinator, Database, StatementOutcome};
+use youtopia::{run_sql, CoordinatorConfig, Database, ShardedCoordinator, StatementOutcome};
 
 #[test]
 fn figure2_architecture_path() {
@@ -17,7 +17,7 @@ fn figure2_architecture_path() {
     )
     .unwrap();
     run_sql(&db, "INSERT INTO Flights VALUES (1, 'Paris'), (2, 'Paris')").unwrap();
-    let co = Coordinator::new(db.clone());
+    let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
 
     // The compiler stage is observable: pending queries expose their IR.
     co.submit_sql(
@@ -105,7 +105,7 @@ fn wal_recovery_preserves_coordinated_answers() {
         )
         .unwrap();
         run_sql(&db, "INSERT INTO Flights VALUES (122, 'Paris')").unwrap();
-        let co = Coordinator::new(db);
+        let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
         co.submit_sql(
             "kramer",
             "SELECT 'Kramer', fno INTO ANSWER Reservation \
@@ -187,7 +187,7 @@ fn queries_in_flight_from_many_threads_all_complete() {
 fn unsafe_and_malformed_input_is_reported_not_crashing() {
     let db = Database::new();
     run_sql(&db, "CREATE TABLE T (a INT)").unwrap();
-    let co = Coordinator::new(db);
+    let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
     // unsafe: head variable never restricted
     assert!(co
         .submit_sql("x", "SELECT 'X', v INTO ANSWER R CHOOSE 1")
@@ -218,7 +218,7 @@ fn membership_subqueries_may_use_the_full_sql_surface() {
     ] {
         run_sql(&db, sql).unwrap();
     }
-    let co = Coordinator::new(db);
+    let co = ShardedCoordinator::single(db, CoordinatorConfig::default());
     // only well-rated affordable flights are eligible
     let q = |me: &str, friend: &str| {
         format!(
@@ -244,7 +244,7 @@ fn show_tables_lists_answer_relations_once_created() {
     )
     .unwrap();
     run_sql(&db, "INSERT INTO Flights VALUES (1, 'Paris')").unwrap();
-    let co = Coordinator::new(db.clone());
+    let co = ShardedCoordinator::single(db.clone(), CoordinatorConfig::default());
     co.submit_sql(
         "solo",
         "SELECT 'solo', fno INTO ANSWER BrandNewAnswerRel \

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 
 use youtopia::core::{MatchConfig, SubmitOptions};
 use youtopia::{
-    compile_sql, run_sql, CoordinationOutcome, Coordinator, CoordinatorConfig, Database,
-    MatchNotification, ShardedConfig, ShardedCoordinator, Submission, WaiterSet,
+    compile_sql, run_sql, CoordinationOutcome, CoordinatorConfig, Database, MatchNotification,
+    ShardedConfig, ShardedCoordinator, Submission, WaiterSet,
 };
 
 /// One generated workload: pair requests `(me, friend, relation,
@@ -138,7 +138,7 @@ fn pending_ids(snapshot: Vec<youtopia::core::PendingInfo>) -> Vec<u64> {
 /// submissions (deadlines attached), then the `expire_due` sweep,
 /// then notification collection.
 fn run_serial_sync(w: &Workload, seed: u64) -> RunResult {
-    let co = Coordinator::with_config(scenario_db(), config(seed));
+    let co = ShardedCoordinator::single(scenario_db(), config(seed));
     let mut tickets = Vec::new();
     let mut outcomes = Vec::new();
     for (me, friend, rel, dest, deadline) in &w.requests {
@@ -190,7 +190,7 @@ fn harvest(mut set: WaiterSet) -> (Vec<Outcome>, Vec<u64>, Vec<u64>) {
 /// submission becomes a future held in one [`WaiterSet`]; the sweep
 /// resolves due futures with `Expired`.
 fn run_serial_async(w: &Workload, seed: u64) -> RunResult {
-    let co = Coordinator::with_config(scenario_db(), config(seed));
+    let co = ShardedCoordinator::single(scenario_db(), config(seed));
     let mut set = WaiterSet::new();
     for (me, friend, rel, dest, deadline) in &w.requests {
         let future = co

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 use youtopia::core::MatchConfig;
 use youtopia::{
-    run_sql, Coordinator, CoordinatorConfig, Database, MatchNotification, ShardedConfig,
-    ShardedCoordinator, Submission,
+    run_sql, CoordinatorConfig, Database, MatchNotification, ShardedConfig, ShardedCoordinator,
+    Submission,
 };
 
 /// One generated workload: pair requests `(me, friend, relation, dest)`
@@ -101,7 +101,7 @@ fn canonical(n: &MatchNotification) -> Outcome {
 /// notification (immediate or delivered through a ticket) plus the
 /// still-pending ids.
 fn run_serial(w: &Workload, seed: u64) -> (Vec<Outcome>, Vec<u64>) {
-    let co = Coordinator::with_config(scenario_db(), config(seed));
+    let co = ShardedCoordinator::single(scenario_db(), config(seed));
     let mut tickets = Vec::new();
     let mut outcomes = Vec::new();
     for (me, friend, rel, dest) in &w.requests {

@@ -4,7 +4,7 @@
 
 use youtopia::core::{CoreError, SafetyMode};
 use youtopia::travel::{TravelError, TravelService};
-use youtopia::{run_sql, Coordinator, CoordinatorConfig, Database};
+use youtopia::{run_sql, CoordinatorConfig, Database, ShardedCoordinator};
 
 fn db() -> Database {
     let d = Database::new();
@@ -19,7 +19,7 @@ fn db() -> Database {
 
 #[test]
 fn every_safety_rejection_names_the_variable() {
-    let co = Coordinator::new(db());
+    let co = ShardedCoordinator::single(db(), CoordinatorConfig::default());
     let cases = [
         // head-only variable
         ("SELECT 'X', ghost INTO ANSWER R CHOOSE 1", "?ghost"),
@@ -54,10 +54,10 @@ fn every_safety_rejection_names_the_variable() {
 #[test]
 fn strict_mode_is_stricter_than_relaxed() {
     let relaxed_only = "SELECT 'K', fno INTO ANSWER R WHERE ('J', fno) IN ANSWER R CHOOSE 1";
-    let relaxed = Coordinator::new(db());
+    let relaxed = ShardedCoordinator::single(db(), CoordinatorConfig::default());
     assert!(relaxed.submit_sql("k", relaxed_only).is_ok());
 
-    let strict = Coordinator::with_config(
+    let strict = ShardedCoordinator::single(
         db(),
         CoordinatorConfig {
             safety: SafetyMode::Strict,
@@ -72,7 +72,7 @@ fn strict_mode_is_stricter_than_relaxed() {
 
 #[test]
 fn compile_rejections_are_precise() {
-    let co = Coordinator::new(db());
+    let co = ShardedCoordinator::single(db(), CoordinatorConfig::default());
     let cases = [
         ("SELECT 1", "not an entangled query"),
         ("SELECT 'X', a INTO ANSWER R CHOOSE 2", "CHOOSE 2"),
@@ -95,7 +95,7 @@ fn compile_rejections_are_precise() {
 
 #[test]
 fn parse_errors_carry_positions_through_the_coordinator() {
-    let co = Coordinator::new(db());
+    let co = ShardedCoordinator::single(db(), CoordinatorConfig::default());
     let err = co
         .submit_sql("u", "SELECT 'X',\n  INTO ANSWER")
         .unwrap_err();
@@ -158,8 +158,8 @@ fn cascade_does_not_mask_apply_failures_forever() {
     // A match whose hook always fails keeps the group pending without
     // poisoning later submissions.
     let d = db();
-    let co = Coordinator::new(d.clone());
-    co.set_apply_hook(Box::new(|_, _| {
+    let co = ShardedCoordinator::single(d.clone(), CoordinatorConfig::default());
+    co.set_apply_hook(std::sync::Arc::new(|_, _| {
         Err(youtopia::storage::StorageError::Internal(
             "always fails".into(),
         ))
@@ -174,14 +174,14 @@ fn cascade_does_not_mask_apply_failures_forever() {
     assert_eq!(co.pending_count(), 1);
     assert!(co.answers("R").is_empty());
     // healing the hook and retrying succeeds
-    co.set_apply_hook(Box::new(|_, _| Ok(())));
+    co.set_apply_hook(std::sync::Arc::new(|_, _| Ok(())));
     assert_eq!(co.retry_all().unwrap().len(), 1);
     assert_eq!(co.pending_count(), 0);
 }
 
 #[test]
 fn unknown_query_operations_fail_cleanly() {
-    let co = Coordinator::new(db());
+    let co = ShardedCoordinator::single(db(), CoordinatorConfig::default());
     assert!(matches!(
         co.cancel(youtopia::QueryId(42)),
         Err(CoreError::UnknownQuery(42))
@@ -196,7 +196,7 @@ fn answer_relation_arity_conflicts_surface_as_storage_errors() {
     // be applied — the match must roll back and the queries stay pending
     let d = db();
     run_sql(&d, "CREATE TABLE R (a STRING, b INT, c INT)").unwrap();
-    let co = Coordinator::new(d);
+    let co = ShardedCoordinator::single(d, CoordinatorConfig::default());
     let err = co
         .submit_sql(
             "solo",
